@@ -14,34 +14,25 @@ naive per-individual path it replaced, on **two** honestly labeled workloads:
   repeated analysis.  Survivors recur across generations, so the
   individual-level fit cache dominates and the speedup is large.
 
-Each workload is measured under both fit backends (``direct`` =
-per-individual ``fit_linear``, ``gram`` = pooled gather-and-solve), and the
-report includes fits/sec per backend.  Further sections isolate individual
-levers on the offspring stream: ``column_backend`` (compiled tapes vs the
-tree interpreter on the cache-miss path, see :mod:`repro.core.compile`;
-reports the *end-to-end* speedup and the *warm-miss* speedup -- a warmed
-kernel cache with cleared column/fit caches -- as separate, self-consistent
-ratios of their own reported wall-clocks), ``residual_backend`` (the
-generation-batched prediction/residual pass vs per-individual scoring) and
+Each workload reports the batch evaluator's throughput, fits/sec and
+cache hit rates next to the naive path.  Further sections:
 ``persistent_cache`` (a cold start vs one warm-started from a
-:class:`~repro.core.cache_store.ColumnCacheStore` file).  The
-``population_1000`` section runs the engine at population 1000 (the
-ROADMAP's scaling item): per-phase wall-clocks (generation, evaluation,
-selection), evaluations/sec, every cache hit rate, the size-adaptive
-budgets actually resolved, and a scalar-vs-batched residual equivalence
-check at that scale.  The ``selection_variation`` section puts the
-structure-sharing genome backend head to head against its deepcopy
-reference (per-operator child cost, node clones per offspring,
-population-1000 phase seconds for both) and contributes the
-``genome_shared_vs_deepcopy`` bit-identity verdict.  The ``serving``
-section freezes a fixed-seed run with :func:`~repro.core.artifact.save_front`
-and serves it through :mod:`repro.serve`: artifact size, cold-load
-milliseconds, ``/predict`` latency percentiles and rows/sec per batch
-size (1/100/10000), and the ``artifact_roundtrip`` verdict -- frozen and
-served predictions bit-identical to the originating run.  NSGA-II ranking
-time is reported *separately* (it is selection, not evaluation) in a
-``pareto_sort`` section -- and at larger population scales in
-``bench_pareto.json``.
+:class:`~repro.core.cache_store.ColumnCacheStore` file);
+``population_1000`` (one fixed-seed ``CaffeineEngine.run`` at population
+1000, the ROADMAP's scaling item: wall-clock, evaluations/sec, every cache
+hit rate and the size-adaptive budgets actually resolved -- per-phase
+seconds come from the traced run, ``python3 perfbench/run.py --workload
+pm-pop1000 --trace 1``); ``selection_variation`` (per-operator child cost
+and node clones per offspring of the path-copying variation operators);
+``golden_fronts`` (the fixed-seed fronts pinned in ``tests/golden``,
+recomputed and compared); and ``serving``, which freezes a fixed-seed run
+with :func:`~repro.core.artifact.save_front` and serves it through
+:mod:`repro.serve`: artifact size, cold-load milliseconds, ``/predict``
+latency percentiles and rows/sec per batch size (1/100/10000), and the
+``artifact_roundtrip`` verdict -- frozen and served predictions
+bit-identical to the originating run.  NSGA-II ranking time is reported
+*separately* (it is selection, not evaluation) in a ``pareto_sort``
+section -- and at larger population scales in ``bench_pareto.json``.
 
 Emits machine-readable JSON (``benchmarks/output/bench_evaluation.json``;
 schema documented in ``benchmarks/README.md``) so future PRs can track the
@@ -69,35 +60,21 @@ from repro.core.settings import CaffeineSettings
 
 from conftest import write_output
 
-#: Regression gates.  The gram backend must deliver the PR-2 tentpole's
-#: promised >= 2x on the fresh-offspring stream; the direct backend keeps
-#: PR 1's column-cache-only gate; the re-evaluation path is fit-cache
-#: dominated; compiled columns and a warm persistent cache must never lose
-#: to their baselines.  ``BENCH_RELAX_SPEEDUP_GATES=1`` (set by CI's shared
-#: noisy runners) disables only the wall-clock ratio gates; the bit-for-bit
+#: Regression gates.  The batch evaluator must deliver the PR-2 tentpole's
+#: promised >= 2x on the fresh-offspring stream; the re-evaluation path is
+#: fit-cache dominated; a warm persistent cache must never lose to a cold
+#: start.  ``BENCH_RELAX_SPEEDUP_GATES=1`` (set by CI's shared noisy
+#: runners) disables only the wall-clock ratio gates; the bit-for-bit
 #: equivalence checks always hold.
 _GATES_RELAXED = os.environ.get("BENCH_RELAX_SPEEDUP_GATES") == "1"
 MIN_REEVALUATION_SPEEDUP = 0.0 if _GATES_RELAXED else 2.5
-MIN_OFFSPRING_SPEEDUP_DIRECT = 0.0 if _GATES_RELAXED else 1.0
 MIN_OFFSPRING_SPEEDUP_GRAM = 0.0 if _GATES_RELAXED else 2.0
-#: The compiled-column effect is real but small (~1.1x end to end, the
-#: column share of an offspring evaluation); gate at 0.9 so run-to-run
-#: noise cannot flip it while a genuine slowdown (a backend that loses
-#: outright) still fails.
-MIN_COMPILED_COLUMN_SPEEDUP = 0.0 if _GATES_RELAXED else 0.9
 MIN_WARM_CACHE_SPEEDUP = 0.0 if _GATES_RELAXED else 1.0
-#: The batched residual pass saves per-individual NumPy call overhead; a
-#: backend that loses outright to scalar scoring would be a bug.
-MIN_RESIDUAL_SPEEDUP = 0.0 if _GATES_RELAXED else 0.9
 #: Acceptance gate for the population-1000 scaling work: canonical factor
-#: ordering plus the size-adaptive kernel budget must lift the compiled
-#: backend's kernel hit rate above the ~25% the ROADMAP flagged.
-#: Deterministic (fixed seed), so never relaxed.
+#: ordering plus the size-adaptive kernel budget must lift the compiler's
+#: kernel hit rate above the ~25% the ROADMAP flagged.  Deterministic
+#: (fixed seed), so never relaxed.
 MIN_POPULATION_1000_KERNEL_HIT_RATE = 0.25
-#: The structure-sharing genome must never lose to the deepcopy reference
-#: on the population-1000 variation phase (it shares every untouched
-#: subtree instead of cloning the whole parent per child).
-MIN_SHARED_VARIATION_SPEEDUP = 0.0 if _GATES_RELAXED else 1.0
 
 #: Figure-3 workload scale: population 100 over the benchmark generation
 #: budget used by the shared harness (see conftest.BENCH_SETTINGS).
@@ -150,7 +127,7 @@ def _run_naive(engine, batches):
     return time.perf_counter() - start, clones
 
 
-def _run_cached(engine, batches, cache=None, **overrides):
+def _run_cached(engine, batches, cache=None):
     """Batch evaluation through a fresh evaluator (cold unless given a cache).
 
     Every round starts from the same cache state, so hit rates and work
@@ -159,8 +136,7 @@ def _run_cached(engine, batches, cache=None, **overrides):
     """
     clones = [[ind.clone() for ind in batch] for batch in batches]
     evaluator = PopulationEvaluator(engine.train.X, engine.train.y,
-                                    WORKLOAD_SETTINGS.copy(**overrides),
-                                    cache=cache)
+                                    WORKLOAD_SETTINGS, cache=cache)
     start = time.perf_counter()
     for batch in clones:
         evaluator.evaluate_population(batch)
@@ -187,164 +163,44 @@ def _paired_speedup(baseline_rounds, candidate_rounds) -> float:
 
 
 def _measure(engine, batches):
-    """Time naive vs. both cached fit backends; check bit-for-bit equality."""
+    """Time naive vs. the batch evaluator; check bit-for-bit equality."""
     n_evaluations = sum(len(batch) for batch in batches)
-    seconds_by_path = {"naive": [], "direct": [], "gram": []}
+    seconds_by_path = {"naive": [], "gram": []}
     first_results = {}
-    evaluators = {}
+    evaluator = None
     for _round in range(TIMING_ROUNDS):
         seconds, naive = _run_naive(engine, batches)
         seconds_by_path["naive"].append(seconds)
         first_results.setdefault("naive", naive)
-        for fit_backend in ("direct", "gram"):
-            seconds, cached, evaluator = _run_cached(engine, batches,
-                                                     fit_backend=fit_backend)
-            seconds_by_path[fit_backend].append(seconds)
-            first_results.setdefault(fit_backend, cached)
-            evaluators.setdefault(fit_backend, evaluator)
+        seconds, cached, cached_evaluator = _run_cached(engine, batches)
+        seconds_by_path["gram"].append(seconds)
+        first_results.setdefault("gram", cached)
+        evaluator = evaluator or cached_evaluator
 
     best_naive = min(seconds_by_path["naive"])
-    backends = {}
-    equivalence = {}
-    for fit_backend in ("direct", "gram"):
-        equivalence[fit_backend] = _batches_equal(first_results["naive"],
-                                                  first_results[fit_backend])
-        seconds = min(seconds_by_path[fit_backend])
-        evaluator = evaluators[fit_backend]
-        entry = {
-            "seconds": round(seconds, 4),
-            "evaluations_per_second": round(n_evaluations / seconds, 1),
-            "fits_per_second": round(evaluator.n_fits_computed / seconds, 1),
-            "n_fits_computed": evaluator.n_fits_computed,
-            "speedup": round(_paired_speedup(seconds_by_path["naive"],
-                                             seconds_by_path[fit_backend]), 2),
-            "column_cache_hit_rate": round(evaluator.column_hit_rate, 4),
-            "fit_cache_hit_rate": round(evaluator.fit_hit_rate, 4),
-            "column_cache_entries": len(evaluator.cache),
-        }
-        if evaluator.gram_pool is not None:
-            entry["gram_pair_hit_rate"] = round(
-                evaluator.gram_pool.pair_hit_rate, 4)
-            entry["gram_pairs_computed"] = evaluator.gram_pool.n_pairs_computed
-            entry["gram_pool_entries"] = len(evaluator.gram_pool)
-        backends[fit_backend] = entry
-
+    seconds = min(seconds_by_path["gram"])
+    gram = {
+        "seconds": round(seconds, 4),
+        "evaluations_per_second": round(n_evaluations / seconds, 1),
+        "fits_per_second": round(evaluator.n_fits_computed / seconds, 1),
+        "n_fits_computed": evaluator.n_fits_computed,
+        "speedup": round(_paired_speedup(seconds_by_path["naive"],
+                                         seconds_by_path["gram"]), 2),
+        "column_cache_hit_rate": round(evaluator.column_hit_rate, 4),
+        "fit_cache_hit_rate": round(evaluator.fit_hit_rate, 4),
+        "column_cache_entries": len(evaluator.cache),
+        "gram_pair_hit_rate": round(evaluator.gram_pool.pair_hit_rate, 4),
+        "gram_pairs_computed": evaluator.gram_pool.n_pairs_computed,
+        "gram_pool_entries": len(evaluator.gram_pool),
+    }
     report = {
         "n_evaluations": n_evaluations,
         "naive_seconds": round(best_naive, 4),
         "naive_evaluations_per_second": round(n_evaluations / best_naive, 1),
-        "backends": backends,
+        "backends": {"gram": gram},
     }
-    return report, equivalence
-
-
-def _measure_column_backend(engine, batches):
-    """Compiled tapes vs the tree interpreter on the offspring miss path.
-
-    Both evaluators run the shipped gram fit backend from a cold column
-    cache, so the only difference is how cache *misses* evaluate their
-    trees.  Two speedups are reported, each the ratio of its *own* reported
-    wall-clocks (the committed PR-3 baseline mixed a load-paired ratio with
-    independent best-round seconds, making the JSON self-inconsistent):
-
-    * ``end_to_end_speedup`` -- cold kernel cache, the whole offspring
-      stream (compilation warmup included);
-    * ``warm_miss_speedup`` -- the kernel cache stays warm but the column
-      and fit caches are cleared before every round, isolating the steady
-      state where every miss re-runs a known skeleton (the regime a long
-      run or a shared-cache sweep lives in).
-    """
-    seconds_by_path = {"interp": [], "compiled": []}
-    first_results = {}
-    compilers = {}
-    # Extra rounds here: the compared effect is the smallest in the module,
-    # so the best ratio needs more samples to stabilize.
-    for _round in range(max(TIMING_ROUNDS, 5)):
-        for column_backend in ("interp", "compiled"):
-            seconds, cached, evaluator = _run_cached(
-                engine, batches, column_backend=column_backend)
-            seconds_by_path[column_backend].append(seconds)
-            first_results.setdefault(column_backend, cached)
-            if evaluator._compiler is not None:
-                compilers.setdefault(column_backend, evaluator._compiler)
-
-    # Warm-miss pass: one persistent evaluator per backend, warmed over the
-    # whole stream once; every timed round then clears the column/fit/
-    # complexity caches (but not the kernel cache or gram pool -- both
-    # backends keep their warm gram pool, so the comparison stays paired)
-    # and replays the stream as pure miss traffic.
-    warm_seconds = {"interp": [], "compiled": []}
-    for column_backend in ("interp", "compiled"):
-        evaluator = PopulationEvaluator(
-            engine.train.X, engine.train.y,
-            WORKLOAD_SETTINGS.copy(column_backend=column_backend))
-        warmup = [[ind.clone() for ind in batch] for batch in batches]
-        for batch in warmup:
-            evaluator.evaluate_population(batch)
-        for _round in range(max(TIMING_ROUNDS, 5)):
-            evaluator.cache.clear()
-            evaluator._fit_cache.clear()
-            evaluator._complexity_cache.clear()
-            clones = [[ind.clone() for ind in batch] for batch in batches]
-            start = time.perf_counter()
-            for batch in clones:
-                evaluator.evaluate_population(batch)
-            warm_seconds[column_backend].append(time.perf_counter() - start)
-
-    equal = _batches_equal(first_results["interp"], first_results["compiled"])
-    compiler = compilers["compiled"]
-    interp_seconds = min(seconds_by_path["interp"])
-    compiled_seconds = min(seconds_by_path["compiled"])
-    interp_warm = min(warm_seconds["interp"])
-    compiled_warm = min(warm_seconds["compiled"])
-    report = {
-        "workload": "offspring stream, gram fits, cold column cache",
-        "interp_seconds": round(interp_seconds, 4),
-        "compiled_seconds": round(compiled_seconds, 4),
-        "end_to_end_speedup": round(interp_seconds / compiled_seconds, 2),
-        "interp_warm_miss_seconds": round(interp_warm, 4),
-        "compiled_warm_miss_seconds": round(compiled_warm, 4),
-        "warm_miss_speedup": round(interp_warm / compiled_warm, 2),
-        "kernel_hit_rate": round(compiler.kernel_hit_rate, 4),
-        "kernels_compiled": compiler.n_compiled,
-        "first_sightings_interpreted": compiler.n_interpreted,
-        "kernel_requests": compiler.n_kernel_requests,
-    }
-    return report, equal
-
-
-def _measure_residual_backend(engine, batches):
-    """Generation-batched vs per-individual prediction/residual pass.
-
-    Both evaluators run gram fits over compiled columns from a cold cache;
-    the only difference is whether each same-width group's post-fit scoring
-    runs as one stacked pass or one individual at a time.  The speedup is
-    the ratio of the two reported wall-clocks (self-consistent by
-    construction).
-    """
-    seconds_by_path = {"scalar": [], "batched": []}
-    first_results = {}
-    backends = {}
-    for _round in range(max(TIMING_ROUNDS, 5)):
-        for residual_backend in ("scalar", "batched"):
-            seconds, cached, evaluator = _run_cached(
-                engine, batches, residual_backend=residual_backend)
-            seconds_by_path[residual_backend].append(seconds)
-            first_results.setdefault(residual_backend, cached)
-            backends.setdefault(residual_backend, evaluator.residual_backend)
-
-    equal = _batches_equal(first_results["scalar"], first_results["batched"])
-    scalar_seconds = min(seconds_by_path["scalar"])
-    batched_seconds = min(seconds_by_path["batched"])
-    report = {
-        "workload": "offspring stream, gram fits, cold column cache",
-        "scalar_seconds": round(scalar_seconds, 4),
-        "batched_seconds": round(batched_seconds, 4),
-        "offspring_stream_speedup": round(scalar_seconds / batched_seconds, 2),
-        "batched_passes": backends["batched"].n_batched_passes,
-        "batched_fits": backends["batched"].n_batched_fits,
-    }
-    return report, equal
+    return report, _batches_equal(first_results["naive"],
+                                  first_results["gram"])
 
 
 #: population_1000 budget: enough generations for the caches/kernels to
@@ -359,117 +215,32 @@ POPULATION_1000_SETTINGS = CaffeineSettings(
 )
 
 
-def _run_population_1000(train, genome_backend):
-    """One fixed-seed population-1000 engine loop with per-phase timers.
-
-    Mirrors :meth:`CaffeineEngine.step` exactly (array-native ranking,
-    batched tournament draws, ``select_and_rerank`` survivor selection) so
-    the phase timers measure the code the engine actually runs; the loop is
-    unrolled here only to put ``time.perf_counter()`` fences between the
-    phases.  Returns the phase wall-clocks, the engine (for cache/counter
-    inspection), the first offspring batch (for residual equivalence) and a
-    bit-level snapshot of the final population (errors, complexities and
-    per-basis structural keys) for the shared-vs-deepcopy verdict.
-    """
-    import numpy as np
-
-    from repro.core.expression import structural_key
-    from repro.core.individual import Individual
-    from repro.core.nsga2 import (rank_population_arrays, select_and_rerank,
-                                  tournament_winner)
-
-    settings = POPULATION_1000_SETTINGS.copy(genome_backend=genome_backend)
-    engine = CaffeineEngine(train, settings=settings)
-    phase = {"generation": 0.0, "evaluation": 0.0, "selection": 0.0}
-    captured_offspring = None
-    n = settings.population_size
-    bounds = np.array([n, n - 1, n, n - 1], dtype=np.int64)
-
-    start = time.perf_counter()
-    population = [Individual(bases=engine.generator.random_basis_functions())
-                  for _ in range(n)]
-    phase["generation"] += time.perf_counter() - start
-    start = time.perf_counter()
-    engine.evaluator.evaluate_population(population)
-    phase["evaluation"] += time.perf_counter() - start
-    engine.population = population
-
-    start = time.perf_counter()
-    ranked = rank_population_arrays(engine.population,
-                                    backend=settings.pareto_backend)
-    selection_seconds = time.perf_counter() - start
-    for _generation in range(settings.n_generations):
-        start = time.perf_counter()
-        offspring = []
-        for _ in range(n):
-            draws = engine.rng.integers(0, bounds)
-            parent_a = engine.population[
-                tournament_winner(ranked, draws[0], draws[1])]
-            parent_b = engine.population[
-                tournament_winner(ranked, draws[2], draws[3])]
-            offspring.append(engine.operators.vary(parent_a, parent_b))
-        phase["generation"] += time.perf_counter() - start
-        if captured_offspring is None:
-            captured_offspring = [ind.clone() for ind in offspring]
-        start = time.perf_counter()
-        engine.evaluator.evaluate_population(offspring)
-        phase["evaluation"] += time.perf_counter() - start
-        start = time.perf_counter()
-        engine.population, ranked = select_and_rerank(
-            engine.population + offspring, n,
-            backend=settings.pareto_backend)
-        phase["selection"] += selection_seconds \
-            + (time.perf_counter() - start)
-        selection_seconds = 0.0
-
-    final_snapshot = [
-        (repr(ind.error), repr(ind.complexity),
-         tuple(repr(structural_key(basis)) for basis in ind.bases))
-        for ind in engine.population]
-    return phase, engine, captured_offspring, final_snapshot
-
-
 def _measure_population_1000(train):
     """The ROADMAP's population >= 1000 scaling item, measured end to end.
 
-    Runs the real engine loop at population 1000 with per-phase timers
-    (generation = RNG-driven variation, evaluation = the batch evaluator,
-    selection = NSGA-II ranking + environmental selection), then reports
-    throughput, every cache hit rate, the size-adaptive budgets the run
-    resolved, and a scalar-vs-batched residual equivalence verdict on this
-    scale's first offspring batch.
+    One fixed-seed ``CaffeineEngine.run`` at population 1000 (generation,
+    evaluation, selection, simplification), reporting its wall-clock,
+    evaluation throughput, every cache hit rate and the size-adaptive
+    budgets the run resolved.  Per-phase seconds come from the traced run
+    (``python3 perfbench/run.py --workload pm-pop1000 --trace 1``), which
+    times the engine's own layers instead of a copy of its loop.
     """
     settings = POPULATION_1000_SETTINGS
-    phase, engine, captured_offspring, final_snapshot = \
-        _run_population_1000(train, settings.genome_backend)
+    engine = CaffeineEngine(train, settings=settings)
+    start = time.perf_counter()
+    engine.run()
+    run_seconds = time.perf_counter() - start
 
     evaluator = engine.evaluator
     compiler = evaluator._compiler
     n_evaluations = evaluator.n_evaluated
-
-    # Residual equivalence at this scale: the first real offspring batch,
-    # re-evaluated through fresh scalar and batched evaluators.
-    results = {}
-    for residual_backend in ("scalar", "batched"):
-        fresh = PopulationEvaluator(
-            engine.train.X, engine.train.y,
-            settings.copy(residual_backend=residual_backend))
-        clones = [ind.clone() for ind in captured_offspring]
-        fresh.evaluate_population(clones)
-        results[residual_backend] = clones
-    equal = _batches_equal([results["scalar"]], [results["batched"]])
-
-    report = {
-        "workload": "figure3-PM engine loop at population 1000",
+    return {
+        "workload": "figure3-PM CaffeineEngine.run at population 1000",
         "population_size": settings.population_size,
         "n_generations": settings.n_generations,
-        "genome_backend": settings.genome_backend,
         "n_evaluations": n_evaluations,
-        "evaluations_per_second": round(
-            n_evaluations / phase["evaluation"], 1),
-        "generation_seconds": round(phase["generation"], 4),
-        "evaluation_seconds": round(phase["evaluation"], 4),
-        "selection_seconds": round(phase["selection"], 4),
+        "run_seconds": round(run_seconds, 4),
+        "evaluations_per_second": round(n_evaluations / run_seconds, 1),
         "column_cache_hit_rate": round(evaluator.column_hit_rate, 4),
         "fit_cache_hit_rate": round(evaluator.fit_hit_rate, 4),
         "gram_pair_hit_rate": round(evaluator.gram_pool.pair_hit_rate, 4),
@@ -481,7 +252,6 @@ def _measure_population_1000(train):
         "resolved_gram_pool_size": settings.resolved_gram_pool_size(),
         "resolved_kernel_cache_size": settings.resolved_kernel_cache_size(),
     }
-    return report, equal, final_snapshot
 
 
 #: Node classes whose ``clone`` calls the clones-per-offspring probe counts.
@@ -516,33 +286,18 @@ def _count_node_clones(run_once, n_calls):
     return counter[0] / n_calls
 
 
-def _measure_selection_variation(train, shared_population_1000_report,
-                                 shared_final_snapshot):
-    """The structure-sharing genome vs the deepcopy reference, head to head.
-
-    Three views of the same tentpole:
+def _measure_selection_variation(train):
+    """Cost of the path-copying variation operators.
 
     * ``per_operator_child_microseconds`` -- each variation operator timed
-      in isolation on identical fixed-seed parents under both genome
-      backends (path-copying shares untouched subtrees; the reference
-      deep-clones a parent per child);
+      in isolation on fixed-seed parents (path copying shares every
+      untouched subtree with the parents);
     * ``clones_per_offspring`` -- expression-node ``clone()`` calls per
-      ``vary`` call under each backend (the structural measure the timing
-      follows);
-    * population-1000 phase seconds for the deepcopy backend next to the
-      shared run's (copied from the ``population_1000`` section so the pair
-      is read side by side), plus the combined selection+variation
-      per-generation seconds the PR's acceptance gate tracks.
-
-    Also produces the ``genome_shared_vs_deepcopy`` equivalence verdict:
-    the deepcopy population-1000 run must reach a bit-identical final
-    population (errors, complexities, structural keys), and a fixed-seed
-    Figure-3 workload must yield bit-identical Pareto fronts through
-    ``run_caffeine`` under both backends.
+      ``vary`` call (the structural measure the timing follows; 0 when no
+      operator deep-copies anything).
     """
     import numpy as np
 
-    from repro.core.engine import run_caffeine
     from repro.core.generator import ExpressionGenerator
     from repro.core.individual import Individual
     from repro.core.operators import VariationOperators
@@ -551,75 +306,47 @@ def _measure_selection_variation(train, shared_population_1000_report,
              "basis_delete", "basis_add")
     binary = ("vc_crossover", "subtree_crossover", "basis_crossover",
               "basis_copy")
-    per_operator = {name: {} for name in unary + binary}
-    clones_per_offspring = {}
+    generator = ExpressionGenerator(train.X.shape[1], WORKLOAD_SETTINGS,
+                                    rng=np.random.default_rng(7))
+    operators = VariationOperators(generator, WORKLOAD_SETTINGS,
+                                   rng=np.random.default_rng(8))
+    parent_a = Individual(bases=generator.random_basis_functions(6))
+    parent_b = Individual(bases=generator.random_basis_functions(6))
 
-    for genome_backend in ("shared", "deepcopy"):
-        settings = WORKLOAD_SETTINGS.copy(genome_backend=genome_backend)
-        generator = ExpressionGenerator(train.X.shape[1], settings,
-                                        rng=np.random.default_rng(7))
-        operators = VariationOperators(generator, settings,
-                                       rng=np.random.default_rng(8))
-        parent_a = Individual(bases=generator.random_basis_functions(6))
-        parent_b = Individual(bases=generator.random_basis_functions(6))
-
-        best = {name: float("inf") for name in per_operator}
-        repeats = 200
-        for _round in range(TIMING_ROUNDS):
-            for name in unary + binary:
-                operator = getattr(operators, name)
-                start = time.perf_counter()
-                if name in unary:
-                    for _ in range(repeats):
-                        operator(parent_a)
-                else:
-                    for _ in range(repeats):
-                        operator(parent_a, parent_b)
-                seconds = time.perf_counter() - start
-                best[name] = min(best[name], seconds)
-        for name, seconds in best.items():
-            per_operator[name][genome_backend] = round(
-                seconds / repeats * 1e6, 2)
-
-        clones_per_offspring[genome_backend] = round(_count_node_clones(
-            lambda: operators.vary(parent_a, parent_b), 300), 2)
-
-    for _name, entry in per_operator.items():
-        entry["speedup"] = round(
-            entry["deepcopy"] / max(entry["shared"], 1e-9), 2)
-
-    # Deepcopy reference at population 1000 + the bit-identity verdict.
-    deepcopy_phase, _engine, _offspring, deepcopy_snapshot = \
-        _run_population_1000(train, "deepcopy")
-    population_1000_equal = deepcopy_snapshot == shared_final_snapshot
-
-    figure3_settings = WORKLOAD_SETTINGS.copy(n_generations=5)
-    fronts = {}
-    for genome_backend in ("shared", "deepcopy"):
-        result = run_caffeine(train, settings=figure3_settings.copy(
-            genome_backend=genome_backend))
-        fronts[genome_backend] = [
-            (repr(model.train_error), repr(model.complexity),
-             model.expression()) for model in result.tradeoff]
-    figure3_equal = fronts["shared"] == fronts["deepcopy"]
-
-    shared = shared_population_1000_report
-    report = {
-        "workload": "figure3-PM variation + selection, shared vs deepcopy",
-        "per_operator_child_microseconds": per_operator,
-        "clones_per_offspring": clones_per_offspring,
-        "population_1000_shared_generation_seconds":
-            shared["generation_seconds"],
-        "population_1000_shared_selection_seconds":
-            shared["selection_seconds"],
-        "population_1000_deepcopy_generation_seconds":
-            round(deepcopy_phase["generation"], 4),
-        "population_1000_deepcopy_selection_seconds":
-            round(deepcopy_phase["selection"], 4),
-        "population_1000_selection_plus_generation_seconds": round(
-            shared["generation_seconds"] + shared["selection_seconds"], 4),
+    best = {name: float("inf") for name in unary + binary}
+    repeats = 200
+    for _round in range(TIMING_ROUNDS):
+        for name in unary + binary:
+            operator = getattr(operators, name)
+            start = time.perf_counter()
+            if name in unary:
+                for _ in range(repeats):
+                    operator(parent_a)
+            else:
+                for _ in range(repeats):
+                    operator(parent_a, parent_b)
+            best[name] = min(best[name], time.perf_counter() - start)
+    return {
+        "workload": "figure3-PM variation operators, fixed-seed parents",
+        "per_operator_child_microseconds": {
+            name: round(seconds / repeats * 1e6, 2)
+            for name, seconds in best.items()},
+        "clones_per_offspring": round(_count_node_clones(
+            lambda: operators.vary(parent_a, parent_b), 300), 2),
     }
-    return report, population_1000_equal and figure3_equal
+
+
+def _measure_golden_fronts():
+    """Recompute every golden-front case and compare it with its
+    checked-in fingerprints (``tests/golden``)."""
+    from golden.regen import CASES, load_golden
+
+    report = {}
+    for case, compute in CASES.items():
+        start = time.perf_counter()
+        report[case] = {"matches": compute() == load_golden(case),
+                        "seconds": round(time.perf_counter() - start, 4)}
+    return report, all(entry["matches"] for entry in report.values())
 
 
 def _measure_persistent_cache(engine, batches, tmp_path):
@@ -854,18 +581,14 @@ def _measure_concurrent_store(tmp_path):
 
 
 def _measure_sort(population):
-    """NSGA-II ranking time on one realistic population, per backend."""
-    report = {"population_size": len(population)}
-    for backend in ("python", "numpy"):
-        repeats = 5
-        start = time.perf_counter()
-        for _ in range(repeats):
-            rank_population(population, backend=backend)
-        seconds = (time.perf_counter() - start) / repeats
-        report[f"{backend}_seconds"] = round(seconds, 6)
-    report["speedup"] = round(report["python_seconds"]
-                              / max(report["numpy_seconds"], 1e-12), 2)
-    return report
+    """NSGA-II ranking time on one realistic population."""
+    repeats = 5
+    start = time.perf_counter()
+    for _ in range(repeats):
+        rank_population(population)
+    seconds = (time.perf_counter() - start) / repeats
+    return {"population_size": len(population),
+            "numpy_seconds": round(seconds, 6)}
 
 
 def test_population_evaluation_throughput(benchmark, bench_datasets,
@@ -876,17 +599,11 @@ def test_population_evaluation_throughput(benchmark, bench_datasets,
     offspring_report, offspring_equal = _measure(engine, offspring_batches)
     reevaluation_report, reevaluation_equal = _measure(engine,
                                                        population_batches)
-    column_report, column_equal = _measure_column_backend(engine,
-                                                          offspring_batches)
-    residual_report, residual_equal = _measure_residual_backend(
-        engine, offspring_batches)
     cache_report, cache_equal = _measure_persistent_cache(
         engine, offspring_batches, str(tmp_path))
-    population_1000_report, population_1000_equal, shared_final_snapshot = \
-        _measure_population_1000(train)
-    selection_variation_report, genome_backends_equal = \
-        _measure_selection_variation(train, population_1000_report,
-                                     shared_final_snapshot)
+    population_1000_report = _measure_population_1000(train)
+    selection_variation_report = _measure_selection_variation(train)
+    golden_report, golden_equal = _measure_golden_fronts()
     sort_report = _measure_sort(population_batches[-1])
     session_report, session_equal = _measure_session_api(train)
     serving_report, artifact_equal = _measure_serving(train, str(tmp_path))
@@ -894,14 +611,9 @@ def test_population_evaluation_throughput(benchmark, bench_datasets,
         str(tmp_path))
 
     equivalence = {
-        "offspring_naive_vs_direct": offspring_equal["direct"],
-        "offspring_naive_vs_gram": offspring_equal["gram"],
-        "reevaluation_naive_vs_direct": reevaluation_equal["direct"],
-        "reevaluation_naive_vs_gram": reevaluation_equal["gram"],
-        "interp_vs_compiled": column_equal,
-        "residual_scalar_vs_batched": residual_equal,
-        "population_1000_scalar_vs_batched": population_1000_equal,
-        "genome_shared_vs_deepcopy": genome_backends_equal,
+        "offspring_naive_vs_gram": offspring_equal,
+        "reevaluation_naive_vs_gram": reevaluation_equal,
+        "golden_fronts": golden_equal,
         "cold_vs_warm_cache": cache_equal,
         "legacy_shim_vs_session": session_equal,
         "artifact_roundtrip": artifact_equal,
@@ -915,11 +627,10 @@ def test_population_evaluation_throughput(benchmark, bench_datasets,
         "n_generations": WORKLOAD_SETTINGS.n_generations,
         "offspring": offspring_report,
         "reevaluation": reevaluation_report,
-        "column_backend": column_report,
-        "residual_backend": residual_report,
         "persistent_cache": cache_report,
         "population_1000": population_1000_report,
         "selection_variation": selection_variation_report,
+        "golden_fronts": golden_report,
         "pareto_sort": sort_report,
         "session_api": session_report,
         "serving": serving_report,
@@ -933,7 +644,6 @@ def test_population_evaluation_throughput(benchmark, bench_datasets,
         f"fast paths are not bit-for-bit identical: {equivalence}"
 
     gram_offspring = offspring_report["backends"]["gram"]
-    direct_offspring = offspring_report["backends"]["direct"]
     gram_reevaluation = reevaluation_report["backends"]["gram"]
     assert gram_reevaluation["speedup"] >= MIN_REEVALUATION_SPEEDUP, \
         (f"re-evaluation speedup regressed: "
@@ -941,18 +651,6 @@ def test_population_evaluation_throughput(benchmark, bench_datasets,
     assert gram_offspring["speedup"] >= MIN_OFFSPRING_SPEEDUP_GRAM, \
         (f"gram offspring-stream speedup regressed: "
          f"{gram_offspring['speedup']}x < {MIN_OFFSPRING_SPEEDUP_GRAM}x")
-    assert direct_offspring["speedup"] >= MIN_OFFSPRING_SPEEDUP_DIRECT, \
-        (f"direct offspring-stream speedup regressed: "
-         f"{direct_offspring['speedup']}x < {MIN_OFFSPRING_SPEEDUP_DIRECT}x")
-    assert column_report["end_to_end_speedup"] >= MIN_COMPILED_COLUMN_SPEEDUP, \
-        (f"compiled column backend lost to the interpreter: "
-         f"{column_report['end_to_end_speedup']}x < "
-         f"{MIN_COMPILED_COLUMN_SPEEDUP}x")
-    assert residual_report["offspring_stream_speedup"] >= \
-        MIN_RESIDUAL_SPEEDUP, \
-        (f"batched residual pass lost to scalar scoring: "
-         f"{residual_report['offspring_stream_speedup']}x < "
-         f"{MIN_RESIDUAL_SPEEDUP}x")
     assert cache_report["speedup"] >= MIN_WARM_CACHE_SPEEDUP, \
         (f"warm persistent cache lost to a cold start: "
          f"{cache_report['speedup']}x < {MIN_WARM_CACHE_SPEEDUP}x")
@@ -961,15 +659,8 @@ def test_population_evaluation_throughput(benchmark, bench_datasets,
         (f"population-1000 kernel hit rate regressed: "
          f"{population_1000_report['kernel_hit_rate']} <= "
          f"{MIN_POPULATION_1000_KERNEL_HIT_RATE}")
-    shared_generation = selection_variation_report[
-        "population_1000_shared_generation_seconds"]
-    deepcopy_generation = selection_variation_report[
-        "population_1000_deepcopy_generation_seconds"]
-    assert deepcopy_generation / shared_generation >= \
-        MIN_SHARED_VARIATION_SPEEDUP, \
-        (f"shared-genome variation lost to the deepcopy reference: "
-         f"{deepcopy_generation / shared_generation:.2f}x < "
-         f"{MIN_SHARED_VARIATION_SPEEDUP}x")
+    assert selection_variation_report["clones_per_offspring"] == 0.0, \
+        "variation operators deep-copy tree material again"
     # Offspring reuse parental basis functions even though their fits are
     # fresh; survivors recur wholesale; offspring grams are mostly gathers;
     # a store-warmed cache serves nearly every column from disk.

@@ -1,18 +1,19 @@
 """Pareto-kernel benchmark: vectorized vs. pure-Python NSGA-II ranking.
 
 ``fast_nondominated_sort`` was the engine's hottest remaining pure-Python
-path (O(N^2) ``dominates`` calls per generation); the vectorized backend in
-:mod:`repro.core.pareto` builds the domination matrix with NumPy
-broadcasting instead.  This benchmark measures full NSGA-II ranking (sort +
+path (O(N^2) ``dominates`` calls per generation); the kernels in
+:mod:`repro.core.pareto` are vectorized instead, and the original
+pure-Python kernels live on as the test suite's oracle
+(``tests/reference_pareto.py``).  This benchmark measures full NSGA-II ranking (sort +
 per-front crowding, i.e. ``rank_population``) at population scales 100, 500
 and 2000 on objective vectors shaped like the engine's (a 2-D
 error/complexity cloud including duplicate points and ``inf`` markers for
 infeasible individuals).
 
-Both backends are verified to produce identical fronts and crowding values
-before any number is reported.  Emits
-``benchmarks/output/bench_pareto.json`` (schema in ``benchmarks/README.md``)
-recording sorts/sec per backend and scale.
+Both are verified to produce identical fronts and crowding values before
+any number is reported.  Emits ``benchmarks/output/bench_pareto.json``
+(schema in ``benchmarks/README.md``) recording sorts/sec per
+implementation and scale.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ import numpy as np
 from repro.core.nsga2 import rank_population
 from repro.core.pareto import crowding_distances, fast_nondominated_sort
 
+import reference_pareto
 from conftest import write_output
 
 #: Population scales at which sort throughput is recorded.
 POPULATION_SIZES = (100, 500, 2000)
 
-#: The vectorized backend must never lose to pure Python at engine scales.
+#: The vectorized kernels must never lose to pure Python at engine scales.
 #: ``BENCH_RELAX_SPEEDUP_GATES=1`` (CI's shared noisy runners) disables the
 #: wall-clock gate; the identical-results checks always hold.
 MIN_SPEEDUP = 0.0 if os.environ.get("BENCH_RELAX_SPEEDUP_GATES") == "1" \
@@ -60,6 +62,19 @@ def _engine_like_vectors(n: int, rng: np.random.Generator):
     return vectors
 
 
+def _reference_rank(vectors):
+    """Full NSGA-II ranking (sort + per-front crowding) on the pure-Python
+    reference kernels -- the work ``rank_population`` does."""
+    ranks = {}
+    for rank, front in enumerate(
+            reference_pareto.fast_nondominated_sort(vectors)):
+        distances = reference_pareto.crowding_distances(
+            [vectors[i] for i in front])
+        for i, distance in zip(front, distances, strict=True):
+            ranks[i] = (rank, distance)
+    return ranks
+
+
 def _time_callable(function, repeats: int) -> float:
     start = time.perf_counter()
     for _ in range(repeats):
@@ -79,21 +94,21 @@ def test_pareto_sort_throughput(benchmark):
         # Identical results before any timing is believed; the outcome is
         # recorded in the report (for the CI trajectory gate) and asserted
         # after the JSON is written.
-        python_fronts = fast_nondominated_sort(vectors, backend="python")
-        numpy_fronts = fast_nondominated_sort(vectors, backend="numpy")
+        python_fronts = reference_pareto.fast_nondominated_sort(vectors)
+        numpy_fronts = fast_nondominated_sort(vectors)
         identical = numpy_fronts == python_fronts
         for front in python_fronts:
             front_vectors = [vectors[i] for i in front]
             identical = identical and \
-                crowding_distances(front_vectors, backend="numpy") == \
-                crowding_distances(front_vectors, backend="python")
+                crowding_distances(front_vectors) == \
+                reference_pareto.crowding_distances(front_vectors)
         identical_per_scale.append(identical)
 
         repeats = max(1, 2000 // n)
         python_seconds = _time_callable(
-            lambda: rank_population(population, backend="python"), repeats)
+            lambda: _reference_rank(vectors), repeats)
         numpy_seconds = _time_callable(
-            lambda: rank_population(population, backend="numpy"), repeats)
+            lambda: rank_population(population), repeats)
         entry = {
             "population_size": n,
             "n_fronts": len(python_fronts),
@@ -121,6 +136,6 @@ def test_pareto_sort_throughput(benchmark):
                for v in _engine_like_vectors(POPULATION_SIZES[-1], rng)]
 
     def rank_largest():
-        rank_population(largest, backend="numpy")
+        rank_population(largest)
 
     benchmark(rank_largest)

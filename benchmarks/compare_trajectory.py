@@ -16,12 +16,12 @@ true, or a missing/unreadable report, means a fast path no longer
 reproduces the reference results exactly, which is a correctness bug
 regardless of machine load.  For ``bench_evaluation.json`` specifically,
 the required equivalence keys (``REQUIRED_EQUIVALENCE_KEYS``) must also
-*exist* and hold -- the residual-backend, population-1000,
-shared-vs-deepcopy genome and frozen-artifact round-trip verdicts cannot
-silently drop out of the report -- and the ``population_1000``,
-``selection_variation`` and ``serving`` sections are summarized in their
-own blocks so the n=1000 trajectory, the genome-backend head-to-head and
-the serving latency percentiles stay visible in every step summary.
+*exist* and hold -- the golden-front and frozen-artifact round-trip
+verdicts cannot silently drop out of the report -- and the
+``population_1000``, ``selection_variation`` and ``serving`` sections are
+summarized in their own blocks so the n=1000 trajectory, the variation
+cost and the serving latency percentiles stay visible in every step
+summary.
 
 To refresh the baselines after an intentional change, run the benchmarks
 locally and copy the outputs over the committed files::
@@ -63,9 +63,7 @@ TRACKED_SUFFIXES = (
 #: would otherwise pass the gate unnoticed.
 REQUIRED_EQUIVALENCE_KEYS = {
     "bench_evaluation.json": (
-        "residual_scalar_vs_batched",
-        "population_1000_scalar_vs_batched",
-        "genome_shared_vs_deepcopy",
+        "golden_fronts",
         "artifact_roundtrip",
     ),
 }

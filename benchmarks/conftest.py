@@ -15,6 +15,7 @@ of every result in minutes on a laptop.  Pass the full budgets through
 from __future__ import annotations
 
 import pathlib
+import sys
 
 import pytest
 
@@ -23,6 +24,11 @@ from repro.experiments.setup import generate_ota_datasets, run_caffeine_for_targ
 
 #: Output directory for the rendered tables/figures.
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
+
+# The test suite's reference oracles (``reference_pareto``) and golden-front
+# cases (``golden.regen``) are importable from the benchmarks too; appended,
+# so the benchmarks' own modules (this conftest included) take precedence.
+sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 
 #: Evolutionary budget used by the benchmark harness.
 BENCH_SETTINGS = CaffeineSettings(

@@ -25,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="Check project invariants (bit-identity, determinism, "
-                    "spawn/crash-safety, fault specs) with AST rules.")
+                    "crash-safety, fault specs) with AST rules.")
     parser.add_argument(
         "paths", nargs="*", default=None,
         help="files or directories to lint (default: src/)")

@@ -1,9 +1,8 @@
 """The lint engine: one AST walk per file, rules dispatched per node.
 
-The engine is deliberately shaped like the backend machinery it polices:
-rules live in a named registry (:mod:`repro.analysis.rules`, mirroring
-:mod:`repro.core.registry`), each declaring the AST node types it wants to
-see, the module scope it applies to and an ``--explain``-able rationale.
+Rules live in a named registry (:mod:`repro.analysis.rules`), each
+declaring the AST node types it wants to see, the module scope it applies
+to and an ``--explain``-able rationale.
 :class:`LintEngine` parses every file once, builds a parent map and a
 little per-file context (:class:`FileContext`), then dispatches each node
 to the rules registered for its type -- so adding a rule never adds a
@@ -91,14 +90,6 @@ class FileContext:
         self.source = source
         self.lines = source.splitlines()
         self._parents: Dict[ast.AST, ast.AST] = {}
-        #: names bound by ``import x`` / ``import x as y`` statements --
-        #: how the spawn-safety rule tells ``module.func`` (fine) from
-        #: ``obj.method`` (a bound method, not spawn-picklable)
-        self.imported_modules: set = set()
-        #: module-level function name -> ast.FunctionDef / ast.Lambda
-        self.module_functions: Dict[str, ast.AST] = {}
-        #: function names defined *nested* inside another function
-        self.nested_functions: set = set()
         self._index()
 
     # ------------------------------------------------------------------
@@ -106,27 +97,6 @@ class FileContext:
         for node in ast.walk(self.tree):
             for child in ast.iter_child_nodes(node):
                 self._parents[child] = node
-        for node in ast.walk(self.tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                if isinstance(node, ast.Import):
-                    for alias in node.names:
-                        self.imported_modules.add(
-                            alias.asname or alias.name.split(".")[0])
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if self.enclosing_function(node) is None:
-                    self.module_functions.setdefault(node.name, node)
-                else:
-                    self.nested_functions.add(node.name)
-            elif isinstance(node, ast.Assign):
-                # ``name = lambda ...`` counts as a function binding too.
-                if (isinstance(node.value, ast.Lambda)
-                        and len(node.targets) == 1
-                        and isinstance(node.targets[0], ast.Name)):
-                    name = node.targets[0].id
-                    if self.enclosing_function(node) is None:
-                        self.module_functions.setdefault(name, node.value)
-                    else:
-                        self.nested_functions.add(name)
 
     # ------------------------------------------------------------------
     def parent(self, node: ast.AST) -> Optional[ast.AST]:

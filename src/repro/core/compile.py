@@ -60,8 +60,8 @@ parameter-perturbed skeleton reuse.  Operator implementations are assumed
 not to mutate their input arrays (true of every NumPy-style operation,
 including the whole default function set).
 
-Selected via ``CaffeineSettings.column_backend = "compiled"`` and routed
-through the miss path of :class:`repro.core.evaluation.PopulationEvaluator`,
+Routed through the miss path of
+:class:`repro.core.evaluation.PopulationEvaluator`,
 so the engine, the experiment drivers and ``simplify_population`` all
 benefit without further wiring.
 """
@@ -201,7 +201,7 @@ def canonicalize_factors(node) -> None:
     generator and the variation operators emit only canonical trees, so the
     interpreter, the compiler, the column cache and the kernel cache all
     agree on one representative per commutative class -- which is what
-    lifts the compiled backend's kernel hit rate without touching the
+    lifts the compiler's kernel hit rate without touching the
     bit-for-bit compiled == interpreted guarantee (both always see the same,
     already-canonical tree).
 
@@ -245,8 +245,8 @@ def canonicalize_fresh_product_term(term: ProductTerm) -> None:
     fresh spine node in deepest-first creation order is exactly the subset
     of :func:`canonicalize_factors`'s post-order work that can actually
     reorder anything -- sorting an untouched, already-sorted factor list is
-    a stable no-op -- so the shared path stays bit-identical to the
-    deepcopy path's full-tree pass.
+    a stable no-op -- so a path-copied child is bit-identical to one whose
+    whole tree went through :func:`canonicalize_factors`.
     """
     if len(term.ops) > 1:
         try:
@@ -272,7 +272,7 @@ def skeleton_and_params(basis: ProductTerm) -> Tuple[Tuple, Tuple[float, ...]]:
 
     ``(skeleton, params)`` is a complete evaluation-recipe identity: two
     trees sharing both evaluate identically on every input by the same
-    floating-point operations, which is why the compiled evaluation backend
+    floating-point operations, which is why the population evaluator
     uses the pair as its basis-column cache key.  Like
     :func:`~repro.core.expression.structural_key`, operators are identified
     by name, so keys are only meaningful within one function set (shared
@@ -511,8 +511,7 @@ class TreeCompiler:
     their parent's tape.  Compilation is lazy: a skeleton's first sighting
     is interpreted and only a recurring skeleton is compiled (one-shot trees
     pay the skeleton walk, never a tape build).  All methods are safe to
-    call from multiple threads (the evaluator's thread backend compiles and
-    evaluates columns concurrently).
+    call from multiple threads.
     """
 
     def __init__(self, X: np.ndarray, max_kernels: int = 4096) -> None:

@@ -12,9 +12,10 @@ the *same* dataset.  This module removes that redundancy:
   structural key to its evaluated column on one dataset;
 * :class:`PopulationEvaluator` -- evaluates whole populations: it collects
   the unique uncached basis functions across all individuals, computes their
-  columns once (serially or on a thread/process pool, selected by
-  ``CaffeineSettings.evaluation_backend``), then assembles each individual's
-  basis matrix from cached columns and runs the linear fits; a second,
+  columns once (through :class:`CompiledColumnBackend`'s fused tapes), then
+  assembles each individual's basis matrix from cached columns and runs the
+  linear fits (:class:`GramFitBackend`) and the residual pass
+  (:class:`BatchedResidualBackend`); a second,
   individual-level LRU (keyed by the ordered tuple of basis keys) short-cuts
   the fit itself for structurally identical individuals;
 * :class:`GramPool` -- a cross-generation pool of normal-equation scalars
@@ -34,10 +35,12 @@ encodes the exact floating-point recipe), and a gram-pool fit returns the
 exact :class:`~repro.regression.least_squares.LinearFit` a direct
 :func:`~repro.regression.least_squares.fit_linear` would (both build their
 normal equations from the canonical
-:func:`~repro.regression.least_squares.pair_dots` recipe) -- so cached,
-uncached, serial, parallel, gram-pooled and direct evaluation are all
-bit-for-bit identical: a fixed seed produces the same trade-off set
-regardless of these settings.
+:func:`~repro.regression.least_squares.pair_dots` recipe) -- so cached and
+uncached evaluation are bit-for-bit identical: a fixed seed produces the
+same trade-off set regardless of the cache budgets.  The tests pin each
+class against its plain reference function (``evaluate_basis_column``,
+``fit_linear``, ``relative_rmse``) and the golden-front fingerprints in
+``tests/golden`` pin whole runs.
 
 Column-cache keys carry a :func:`dataset_fingerprint` prefix, so one
 :class:`BasisColumnCache` can safely be shared by evaluators bound to
@@ -51,8 +54,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import pickle
-import warnings
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,13 +62,12 @@ import numpy as np
 from repro.core import faults
 from repro.core.compile import TreeCompiler, cached_skeleton_and_params
 from repro.core.complexity import basis_function_complexity, model_complexity
-from repro.core.expression import ProductTerm, cached_structural_key
+from repro.core.expression import ProductTerm
 from repro.core.individual import (
     Individual,
     evaluate_basis_column,
     evaluate_basis_matrix,
 )
-from repro.core.registry import get_backend
 from repro.core.settings import CaffeineSettings
 from repro.data.metrics import (
     error_normalization,
@@ -88,11 +88,8 @@ __all__ = [
     "BasisColumnCache",
     "GramPool",
     "PopulationEvaluator",
-    "InterpColumnBackend",
     "CompiledColumnBackend",
-    "DirectFitBackend",
     "GramFitBackend",
-    "ScalarResidualBackend",
     "BatchedResidualBackend",
     "dataset_fingerprint",
     "evaluate_individual_inplace",
@@ -454,61 +451,21 @@ def evaluate_individual_inplace(individual: Individual, X: np.ndarray,
     individual.error = relative_rmse(y, predictions, individual.normalization)
 
 
-class InterpColumnBackend:
-    """Reference column backend: node-by-node tree interpretation.
-
-    This is the ``"interp"`` entry of the ``"column"`` backend registry;
-    basis keys are plain structural keys and every evaluation walks the
-    tree through :func:`~repro.core.individual.evaluate_basis_column`.
-    """
-
-    name = "interp"
-    #: no :class:`~repro.core.compile.TreeCompiler` behind this backend
-    compiler: Optional[TreeCompiler] = None
-
-    def __init__(self, X: np.ndarray,
-                 settings: Optional[CaffeineSettings] = None) -> None:
-        self.X = X
-
-    def basis_key(self, basis: ProductTerm) -> Tuple:
-        """The exact evaluation-recipe identity used as the cache key.
-
-        Served from the node's memoized key when the variation layer has
-        already computed it (shared-genome trees are never mutated in place
-        after canonicalization, so the memo cannot go stale; see
-        :func:`repro.core.expression.cached_structural_key`).
-        """
-        return cached_structural_key(basis)
-
-    def evaluate(self, basis: ProductTerm, key: Tuple) -> np.ndarray:
-        """Compute one column; ``key`` is the caller's precomputed key."""
-        return evaluate_basis_column(basis, self.X)
-
-    def column(self, basis: ProductTerm) -> np.ndarray:
-        """Key + evaluate in one call (the worker-process entry point)."""
-        return evaluate_basis_column(basis, self.X)
-
-
 class CompiledColumnBackend:
-    """Fused-tape column backend (``"compiled"``, the default).
+    """How the evaluator computes a basis column on a cache miss.
 
     Basis keys are ``(skeleton, params)`` pairs -- the same one-walk-per-tree
     exact evaluation-recipe identity as a structural key, but directly
     reusable as the compiler's kernel-cache key, so cache misses never
-    re-walk the tree.  Bit-for-bit identical to the interpreter (see
+    re-walk the tree.  Bit-for-bit identical to the interpreter,
+    :func:`~repro.core.individual.evaluate_basis_column` (see
     :mod:`repro.core.compile`).
     """
 
-    name = "compiled"
-
-    def __init__(self, X: np.ndarray,
-                 settings: Optional[CaffeineSettings] = None) -> None:
-        # The kernel budget adapts to population_size (worker processes,
-        # which get settings=None, keep the class default).
+    def __init__(self, X: np.ndarray, settings: CaffeineSettings) -> None:
+        # The kernel budget adapts to population_size.
         self.compiler = TreeCompiler(
-            X, max_kernels=(settings.resolved_kernel_cache_size()
-                            if settings is not None
-                            else CaffeineSettings.kernel_cache_size))
+            X, max_kernels=settings.resolved_kernel_cache_size())
 
     def basis_key(self, basis: ProductTerm) -> Tuple:
         # Memoized on the root node: offspring share untouched basis trees
@@ -516,60 +473,28 @@ class CompiledColumnBackend:
         return cached_skeleton_and_params(basis)
 
     def evaluate(self, basis: ProductTerm, key: Tuple) -> np.ndarray:
+        """Compute one column; ``key`` is the caller's precomputed key."""
         skeleton, params = key
         return self.compiler.column_from_key(skeleton, params, basis)
 
-    def column(self, basis: ProductTerm) -> np.ndarray:
-        return self.compiler.column(basis)
-
-
-class ScalarResidualBackend:
-    """Reference residual backend: one prediction/residual pass per fit.
-
-    This is the ``"scalar"`` entry of the ``"residual"`` backend registry.
-    A residual backend's contract: ``error(fit, basis_matrix)`` returns the
-    individual's ``relative_rmse`` against the bound target, and
-    ``errors(fits, basis_matrices)`` scores a *same-width* group (every fit
-    has the same number of terms).  Both built-ins compute predictions by
-    the canonical left-to-right accumulation
-    (:func:`~repro.regression.least_squares.predict_linear`), so scalar and
-    batched scoring are bit-for-bit identical by construction.
-    """
-
-    name = "scalar"
-
-    def __init__(self, y: np.ndarray, normalization: float) -> None:
-        self.y = np.ascontiguousarray(np.asarray(y, dtype=float).ravel())
-        self.normalization = float(normalization)
-
-    def error(self, fit: LinearFit, basis_matrix: np.ndarray) -> float:
-        """One individual's relative RMS error (the paper's qwc/qtc shape)."""
-        return relative_rmse(self.y, fit.predict(basis_matrix),
-                             self.normalization)
-
-    def errors(self, fits: Sequence[LinearFit],
-               basis_matrices: Sequence[np.ndarray]) -> List[float]:
-        """A same-width group, scored one individual at a time."""
-        return [self.error(fit, basis_matrix)
-                for fit, basis_matrix in zip(fits, basis_matrices, strict=True)]
-
 
 class BatchedResidualBackend:
-    """Generation-batched residual backend (``"batched"``, the default).
+    """The prediction/residual step after each linear fit.
 
-    Whole same-width groups are scored in one stacked pass: predictions via
+    ``error(fit, basis_matrix)`` returns one individual's ``relative_rmse``
+    against the bound target; ``errors(fits, basis_matrices)`` scores a
+    *same-width* group (every fit has the same number of terms) in one
+    stacked pass: predictions via
     :func:`~repro.regression.least_squares.predict_linear_batch` (the
     canonical accumulation run over an ``(m, n, k)`` stack -- purely
     elementwise, so batch composition cannot change a bit) and residual
     reduction via :func:`~repro.data.metrics.relative_rmse_rows` (a
     contiguous-last-axis pairwise summation whose per-row results are
     independent of the stack, the ``pair_dots`` argument transplanted to
-    the prediction side).  ``error``/``errors`` here are bit-for-bit
-    :class:`ScalarResidualBackend`'s, enforced by hypothesis property tests
-    and fixed-seed engine equality.
+    the prediction side).  Every value is bit-for-bit
+    ``relative_rmse(y, fit.predict(basis_matrix), normalization)``, enforced
+    by hypothesis property tests.
     """
-
-    name = "batched"
 
     def __init__(self, y: np.ndarray, normalization: float) -> None:
         self.y = np.ascontiguousarray(np.asarray(y, dtype=float).ravel())
@@ -602,28 +527,6 @@ class BatchedResidualBackend:
                 relative_rmse_rows(self.y, predictions, self.normalization)]
 
 
-#: per-process column backend, installed once per worker by
-#: :func:`_init_worker` so tasks ship only the basis trees, not X
-_WORKER_BACKEND = None
-
-#: sentinel cached by :meth:`PopulationEvaluator._get_executor` when an
-#: evaluation-backend factory declines pooling (returns None), so the
-#: factory is called once, not once per batch
-_EXECUTOR_DECLINED = object()
-
-
-def _init_worker(X: np.ndarray, column_backend: str = "interp") -> None:
-    global _WORKER_BACKEND
-    # Workers rebuild the configured column backend by registry name; column
-    # factories must therefore accept ``settings=None`` (both built-ins do).
-    _WORKER_BACKEND = get_backend("column", column_backend)(X, None)
-
-
-def _column_task(basis: ProductTerm) -> np.ndarray:
-    """Picklable worker: evaluate one basis function on the installed matrix."""
-    return _WORKER_BACKEND.column(basis)
-
-
 class PopulationEvaluator:
     """Evaluates populations of individuals against one fixed dataset.
 
@@ -632,10 +535,8 @@ class PopulationEvaluator:
     normalization (the training-data range, the paper's qwc denominator) is
     computed once.
 
-    The parallel backends only parallelize the *uncached column*
-    computations; cache bookkeeping, matrix assembly and the linear fits stay
-    on the calling thread in deterministic population order, which is how
-    results remain independent of scheduling.
+    Column computation, cache bookkeeping, matrix assembly and the linear
+    fits all run on the calling thread in deterministic population order.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray,
@@ -654,18 +555,13 @@ class PopulationEvaluator:
         self.cache = cache if cache is not None \
             else BasisColumnCache(self.settings.resolved_basis_cache_size())
         self.normalization = error_normalization(self.y)
-        self._backend = self.settings.evaluation_backend
-        #: miss-path column computation, resolved through the ``"column"``
-        #: backend registry: a fused-tape compiler (``"compiled"``, the
-        #: default) or the node-by-node interpreter (``"interp"``) -- or any
-        #: backend registered by name.  The backend object also owns the
-        #: basis-key recipe, so its keys and its evaluations always agree.
-        self._column_backend = get_backend(
-            "column", self.settings.column_backend)(self.X, self.settings)
+        #: miss-path column computation through fused tapes; the backend
+        #: also owns the basis-key recipe, so its keys and its evaluations
+        #: always agree
+        self._column_backend = CompiledColumnBackend(self.X, self.settings)
         self._basis_key = self._column_backend.basis_key
-        #: the backend's TreeCompiler when it has one (introspection only)
-        self._compiler: Optional[TreeCompiler] = getattr(
-            self._column_backend, "compiler", None)
+        #: the column backend's TreeCompiler (introspection only)
+        self._compiler: TreeCompiler = self._column_backend.compiler
         #: column-cache key prefix: evaluators on byte-identical X *and* an
         #: implementation-identical function set share cached columns
         #: through a common cache; different data or differently-bound
@@ -674,20 +570,12 @@ class PopulationEvaluator:
         self.dataset_key = (dataset_fingerprint(self.X),
                             function_set_fingerprint(
                                 self.settings.function_set))
-        #: how the post-fit prediction/residual step runs, resolved through
-        #: the ``"residual"`` registry: one stacked pass per basis width and
-        #: generation (``"batched"``, the default) or per individual
-        #: (``"scalar"``) -- bit-for-bit identical either way.
-        self._residual_backend = get_backend(
-            "residual", self.settings.residual_backend)(
-                self.y, self.normalization)
-        #: how fits are produced, resolved through the ``"fit"`` registry:
-        #: gram-pool gather-and-solve (``"gram"``, the default; a zero pool
-        #: size degrades to direct) or per-individual ``fit_linear``
-        #: (``"direct"``) -- every registered backend must set the same
-        #: fields on the individual (see :class:`DirectFitBackend`).
-        self._fit_backend = get_backend(
-            "fit", self.settings.fit_backend)(self)
+        #: the post-fit prediction/residual step: one stacked pass per basis
+        #: width and generation
+        self._residual_backend = BatchedResidualBackend(self.y,
+                                                        self.normalization)
+        #: fits by gram-pool gather-and-solve
+        self._fit_backend = GramFitBackend(self)
         #: total number of individual evaluations performed (for benchmarks)
         self.n_evaluated = 0
         #: column-level accounting: how many basis-column lookups were made
@@ -714,7 +602,6 @@ class PopulationEvaluator:
         #: over bases and fully determined by the key + settings, so the sum
         #: over cached terms is bit-identical to model_complexity)
         self._complexity_cache: Dict[Tuple, float] = {}
-        self._executor = None
 
     # ------------------------------------------------------------------
     @property
@@ -722,13 +609,13 @@ class PopulationEvaluator:
         return self.cache.stats
 
     @property
-    def gram_pool(self) -> Optional["GramPool"]:
-        """The fit backend's scalar pool (None when fits are direct)."""
-        return getattr(self._fit_backend, "pool", None)
+    def gram_pool(self) -> "GramPool":
+        """The fit backend's cross-generation scalar pool."""
+        return self._fit_backend.pool
 
     @property
-    def residual_backend(self):
-        """The configured residual backend (introspection/benchmarks)."""
+    def residual_backend(self) -> BatchedResidualBackend:
+        """The residual backend (introspection/benchmarks)."""
         return self._residual_backend
 
     @property
@@ -767,17 +654,16 @@ class PopulationEvaluator:
 
         Individuals whose exact basis sequence was fitted before are served
         from the fit cache.  For the rest, the unique uncached basis columns
-        are computed once -- in parallel when a thread/process backend is
-        configured -- then each matrix is assembled from the cache and fitted
-        in population order (deterministic regardless of backend).
+        are computed once, then each matrix is assembled from the cache and
+        fitted in population order.
 
         Structural keys are computed exactly once per basis per call and
         threaded through every stage; hashing the trees is otherwise the
         single largest cost of a fully cached evaluation.
 
         With ``basis_cache_size=0`` nothing persists across calls, but the
-        unique columns of *this* batch are still computed once (and through
-        the configured parallel backend) via a batch-local overlay.
+        unique columns of *this* batch are still computed once via a
+        batch-local overlay.
         """
         # Recovery-test hook: a batch whose fit machinery blows up
         # (singular solve, backend bug, OOM) must surface as a structured
@@ -793,12 +679,11 @@ class PopulationEvaluator:
         try:
             self._prefill_columns(pending)
             if pending:
-                # The fit backend batch-precomputes whatever the coming
-                # evaluations need (the gram backend: every missing
-                # normal-equation scalar in one vectorized pass, then one
-                # stacked LAPACK call per basis width; the direct backend:
-                # nothing).  The per-individual loop below only distributes
-                # precomputed results.
+                # The fit backend batch-precomputes what the coming
+                # evaluations need: every missing normal-equation scalar in
+                # one vectorized pass, then one stacked LAPACK call per
+                # basis width.  The per-individual loop below only
+                # distributes precomputed results.
                 self._fit_backend.prepare_batch(pending)
             for individual, keys in keyed:
                 self._evaluate_with_keys(individual, keys)
@@ -832,11 +717,11 @@ class PopulationEvaluator:
         return column
 
     def _evaluate_column(self, basis: ProductTerm, key: Tuple) -> np.ndarray:
-        """Compute one basis column through the configured column backend.
+        """Compute one basis column through the column backend.
 
-        ``key`` is the caller's already-computed basis key; under the
-        compiled backend it *is* the ``(skeleton, params)`` pair, handed to
-        the compiler so a miss never re-walks the tree.
+        ``key`` is the caller's already-computed basis key -- the
+        ``(skeleton, params)`` pair, handed to the compiler so a miss never
+        re-walks the tree.
         """
         return self._column_backend.evaluate(basis, key)
 
@@ -912,149 +797,31 @@ class PopulationEvaluator:
                     missing[key] = basis
         if not missing:
             return
-        keys = list(missing.keys())
-        bases = list(missing.values())
-        columns = self._compute_columns(keys, bases)
         # No counter bumps here: the assembly pass accounts each of these
         # keys as a computation on its first lookup (via _fresh_keys), so a
         # basis occurrence is counted exactly once per evaluation.
-        self._fresh_keys.update(keys)
-        for key, column in zip(keys, columns, strict=True):
+        self._fresh_keys.update(missing)
+        for key, basis in missing.items():
+            column = self._evaluate_column(basis, key)
             self._batch_columns[key] = column
             self.cache.put((self.dataset_key, key), column)
 
-    def _compute_columns(self, keys: List[Tuple],
-                         bases: List[ProductTerm]) -> List[np.ndarray]:
-        if self._backend == "serial" or len(bases) < 2:
-            return [self._evaluate_column(basis, key)
-                    for key, basis in zip(keys, bases, strict=True)]
-        if self._get_executor() is None:
-            # A registered backend may decline pooling (factory returned
-            # None): run on the calling thread, exactly like "serial".
-            return [self._evaluate_column(basis, key)
-                    for key, basis in zip(keys, bases, strict=True)]
-        if self._backend == "process":
-            # map() preserves input order, so results line up with `bases`
-            # regardless of completion order.  Pickling failures (custom
-            # function sets built from lambdas cannot cross a process
-            # boundary; the default set pickles fine) degrade permanently to
-            # the thread backend; a genuine worker-side error of the same
-            # exception type is disambiguated by probing picklability
-            # directly and re-raised unmasked.
-            try:
-                return list(self._get_executor().map(_column_task, bases))
-            except (pickle.PicklingError, TypeError, AttributeError):
-                try:
-                    for basis in bases:
-                        pickle.dumps(basis)
-                    trees_picklable = True
-                except Exception:
-                    trees_picklable = False
-                if trees_picklable:
-                    raise
-                warnings.warn(
-                    "evaluation_backend='process' requires picklable "
-                    "expression trees (custom operators built from lambdas "
-                    "are not); falling back to the thread backend",
-                    RuntimeWarning, stacklevel=4)
-                self._shutdown_executor()
-                self._backend = "thread"
-        # Threads share self.X directly -- nothing is serialized (and the
-        # compiler, when configured, is thread-safe by design).
-        return list(self._get_executor().map(
-            lambda pair: self._evaluate_column(pair[1], pair[0]),
-            zip(keys, bases, strict=True)))
-
-    def _get_executor(self):
-        """The evaluator's long-lived worker pool (created lazily once).
-
-        Pool startup costs milliseconds; an engine calls _compute_columns
-        every generation, so the pool is reused across batches and torn down
-        only by :meth:`shutdown` (or interpreter exit).
-        """
-        if self._executor is None:
-            workers = self.settings.evaluation_workers
-            if workers == 0:
-                import os
-                workers = os.cpu_count() or 1
-            workers = max(1, workers)
-            # Resolved through the ``"evaluation"`` registry; the column
-            # backend *name* rides along so process-pool workers can rebuild
-            # their per-process state (see _init_worker).  A factory that
-            # declines pooling (returns None) is remembered via a sentinel
-            # so it is not re-invoked every batch.
-            resolved = get_backend("evaluation", self._backend)(
-                workers, self.X, self.settings.column_backend)
-            self._executor = (resolved if resolved is not None
-                              else _EXECUTOR_DECLINED)
-        if self._executor is _EXECUTOR_DECLINED:
-            return None
-        return self._executor
-
-    def _shutdown_executor(self) -> None:
-        if self._executor is not None:
-            if self._executor is not _EXECUTOR_DECLINED:
-                self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-
-    def shutdown(self) -> None:
-        """Release the worker pool (idempotent; pools also die with the
-        interpreter, so calling this is optional for short-lived scripts).
-        The evaluator remains usable afterwards -- a pool is recreated
-        lazily on the next parallel batch."""
-        self._shutdown_executor()
-
-    def __enter__(self) -> "PopulationEvaluator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-
-class DirectFitBackend:
-    """Reference fit backend: one full ``fit_linear`` per individual.
-
-    This is the ``"direct"`` entry of the ``"fit"`` backend registry.  A fit
-    backend's contract: ``prepare_batch(pending)`` may batch-precompute
-    anything the coming evaluations need, and ``evaluate(individual,
-    basis_keys)`` must set ``fit``, ``error``, ``complexity`` and
-    ``normalization`` on the individual in place -- bit-for-bit what
-    :func:`evaluate_individual_inplace` would set, unless the backend is
-    documented as approximate.
-    """
-
-    name = "direct"
-
-    def __init__(self, evaluator: PopulationEvaluator) -> None:
-        self.evaluator = evaluator
-
-    def prepare_batch(self, pending: Sequence[Tuple[Individual, List[Tuple]]]
-                      ) -> None:
-        """Direct fits need no batch precomputation."""
-
-    def evaluate(self, individual: Individual,
-                 basis_keys: List[Tuple]) -> None:
-        ev = self.evaluator
-        evaluate_individual_inplace(
-            individual, ev.X, ev.y, ev.settings,
-            basis_matrix=ev._matrix_from_keys(basis_keys, individual.bases),
-            normalization=ev.normalization,
-            complexity=ev._complexity_from_keys(basis_keys, individual.bases),
-        )
-
 
 class GramFitBackend:
-    """Gram-pool fit backend (``"gram"``, the default).
+    """How the evaluator fits each individual's linear weights.
 
-    Fits gather canonical normal-equation scalars from a cross-generation
+    ``prepare_batch(pending)`` batch-precomputes the coming evaluations'
+    fits and ``evaluate(individual, basis_keys)`` sets ``fit``, ``error``,
+    ``complexity`` and ``normalization`` on the individual in place.  Fits
+    gather canonical normal-equation scalars from a cross-generation
     :class:`GramPool` instead of re-reducing ``n_samples``-long columns, and
-    whole batches solve in stacked LAPACK calls.  Bit-for-bit identical to
-    :class:`DirectFitBackend` (the scalars come from the same
+    whole batches solve in stacked LAPACK calls.  Bit-for-bit what
+    :func:`evaluate_individual_inplace` (one full
+    :func:`~repro.regression.least_squares.fit_linear` per individual)
+    sets: the scalars come from the same
     :func:`~repro.regression.least_squares.pair_dots` recipe no matter when
-    or in which batch they were first computed).
+    or in which batch they were first computed.
     """
-
-    name = "gram"
 
     def __init__(self, evaluator: PopulationEvaluator) -> None:
         self.evaluator = evaluator
@@ -1192,11 +959,9 @@ class GramFitBackend:
             fits = fit_linear_from_gram_batch(grams, colsums, ydots,
                                               self._y_sum, solvable_matrices,
                                               ev.y)
-            # The group's prediction/residual step runs through the
-            # configured residual backend: "batched" scores the whole
-            # same-width group in one stacked pass, "scalar" one fit at a
-            # time -- identical bits either way (the canonical recipes are
-            # batch-shape independent).
+            # The group's prediction/residual step scores the whole
+            # same-width group in one stacked pass (the canonical recipes
+            # are batch-shape independent).
             scored_positions = []
             scored_fits: List[LinearFit] = []
             scored_matrices = []

@@ -104,8 +104,7 @@ class Individual:
         Returns a fresh individual with reset evaluation results and a
         *fresh bases list*, but the trees themselves are shared by
         reference -- callers must treat them as immutable (the
-        ``genome_backend="shared"`` contract; see
-        :mod:`repro.core.expression`).  Pass ``bases`` to substitute a
+        structure-sharing contract; see :mod:`repro.core.expression`).  Pass ``bases`` to substitute a
         ready-made list (already fresh, trees shared or new).
         """
         return Individual(bases=list(self.bases) if bases is None else bases,

@@ -32,7 +32,7 @@ def transform_stored_value(stored: float, exponent_bound: float = DEFAULT_EXPONE
 
     The clip is branch-based rather than ``np.clip`` purely for speed: the
     transform runs once per weight per tree evaluation (and once per weight
-    in the compiled backend's skeleton walks), and the NumPy scalar path is
+    in the compiler's skeleton walks), and the NumPy scalar path is
     ~13x slower.  The branches replicate ``np.clip`` bit for bit, NaN
     passthrough and signed zeros included (property-tested).
     """

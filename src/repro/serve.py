@@ -26,10 +26,12 @@ Endpoints (all JSON):
   :func:`repro.core.report.rescore_models` (asserted by the test suite
   and the ``serving-smoke`` CI job).
 
-Requests whose feature count disagrees with the artifact are rejected with
-HTTP 400 (the only hard incompatibility); everything else about the posted
-data is the caller's business -- a frozen front exists to be applied to
-data it has never seen.
+Requests whose feature count disagrees with the artifact, or whose ``X``
+or ``y`` holds a non-finite value (``NaN``, ``Infinity``, ``"nan"``,
+``1e400``, ...), are rejected with HTTP 400, as is any body that is not a
+JSON object (including one nested too deeply to parse).  Everything else
+about the posted data is the caller's business -- a frozen front exists to
+be applied to data it has never seen.
 """
 
 from __future__ import annotations
@@ -164,17 +166,28 @@ class _FrontRequestHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         if length <= 0:
             raise ValueError("request body is empty (send a JSON object)")
-        payload = json.loads(self.rfile.read(length).decode("utf-8"))
+        try:
+            payload = json.loads(self.rfile.read(length).decode("utf-8"))
+        except RecursionError:
+            raise ValueError("request body is nested too deeply") from None
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         return payload
 
     @staticmethod
-    def _matrix(payload: dict, key: str, n_variables: int) -> np.ndarray:
-        rows = payload.get(key)
-        if rows is None:
+    def _finite_array(payload: dict, key: str) -> np.ndarray:
+        values = payload.get(key)
+        if values is None:
             raise ValueError(f"request body is missing {key!r}")
-        X = np.asarray(rows, dtype=float)
+        array = np.asarray(values, dtype=float)
+        if not np.isfinite(array).all():
+            raise ValueError(f"{key!r} holds non-finite values "
+                             "(NaN or infinity); send finite numbers")
+        return array
+
+    @classmethod
+    def _matrix(cls, payload: dict, key: str, n_variables: int) -> np.ndarray:
+        X = cls._finite_array(payload, key)
         if X.ndim == 1 and n_variables == 1:
             X = X.reshape(-1, 1)
         return X
@@ -216,7 +229,7 @@ class _FrontRequestHandler(BaseHTTPRequestHandler):
                     response = self._predict(front, payload, X)
             elif self.path == "/rescore":
                 X = self._matrix(payload, "X", front.n_variables)
-                y = np.asarray(payload.get("y"), dtype=float)
+                y = self._finite_array(payload, "y")
                 with profiler.profile_step("rescore", rows=X.shape[0]
                                            if X.ndim == 2 else 0):
                     errors = front.rescore(X, y)

@@ -53,14 +53,13 @@ def rules_hit(findings, *, include_waived=False):
 # registry
 # ----------------------------------------------------------------------
 class TestRuleRegistry:
-    def test_at_least_eight_active_rules(self):
+    def test_at_least_six_active_rules(self):
         dispatched = [r for r in active_rules() if r.node_types]
-        assert len(dispatched) >= 8
+        assert len(dispatched) >= 6
 
     def test_ids_and_metadata_present(self):
         expected = {"bit-identity", "errstate", "determinism",
-                    "spawn-safety", "crash-safety", "fault-spec",
-                    "unordered-iter", "registry-hygiene"}
+                    "crash-safety", "fault-spec", "unordered-iter"}
         assert expected <= set(rule_ids())
         for rule_id in sorted(expected):
             rule = get_rule(rule_id)
@@ -249,52 +248,7 @@ class TestDeterminismRule:
 
 
 # ----------------------------------------------------------------------
-# rule 4: spawn-safety
-# ----------------------------------------------------------------------
-class TestSpawnSafetyRule:
-    def test_lambda_factory_triggers(self, tmp_path):
-        source = ("from repro.core.registry import register_backend\n"
-                  "register_backend('pareto', 'mine', lambda: None)\n")
-        findings = lint_source(tmp_path, "src/repro/ext.py", source)
-        assert "spawn-safety" in rules_hit(findings)
-
-    def test_nested_function_factory_triggers(self, tmp_path):
-        source = ("from repro.core.registry import register_backend\n"
-                  "def install():\n"
-                  "    def factory():\n"
-                  "        return None\n"
-                  "    register_backend('pareto', 'mine', factory)\n")
-        findings = lint_source(tmp_path, "src/repro/ext.py", source)
-        assert "spawn-safety" in rules_hit(findings)
-
-    def test_bound_method_initializer_triggers(self, tmp_path):
-        source = ("from concurrent.futures import ProcessPoolExecutor\n"
-                  "class Runner:\n"
-                  "    def start(self):\n"
-                  "        return ProcessPoolExecutor(\n"
-                  "            2, initializer=self.setup)\n")
-        findings = lint_source(tmp_path, "src/repro/ext.py", source)
-        assert "spawn-safety" in rules_hit(findings)
-
-    def test_module_level_factory_is_clean(self, tmp_path):
-        source = ("from repro.core.registry import register_backend\n"
-                  "def factory():\n"
-                  "    return None\n"
-                  "register_backend('pareto', 'mine', factory)\n")
-        findings = lint_source(tmp_path, "src/repro/ext.py", source)
-        assert "spawn-safety" not in rules_hit(findings)
-
-    def test_imported_module_function_is_clean(self, tmp_path):
-        source = ("import repro.ext_impl\n"
-                  "from repro.core.registry import register_backend\n"
-                  "register_backend('pareto', 'mine', "
-                  "repro.ext_impl.factory)\n")
-        findings = lint_source(tmp_path, "src/repro/ext.py", source)
-        assert "spawn-safety" not in rules_hit(findings)
-
-
-# ----------------------------------------------------------------------
-# rule 5: crash-safety
+# rule 4: crash-safety
 # ----------------------------------------------------------------------
 class TestCrashSafetyRule:
     def test_raw_write_to_store_path_triggers(self, tmp_path):
@@ -334,7 +288,7 @@ class TestCrashSafetyRule:
 
 
 # ----------------------------------------------------------------------
-# rule 6: fault-spec
+# rule 5: fault-spec
 # ----------------------------------------------------------------------
 class TestFaultSpecRule:
     def test_unknown_point_triggers(self, tmp_path):
@@ -374,7 +328,7 @@ class TestFaultSpecRule:
 
 
 # ----------------------------------------------------------------------
-# rule 7: unordered-iter
+# rule 6: unordered-iter
 # ----------------------------------------------------------------------
 class TestUnorderedIterRule:
     def test_set_literal_iteration_triggers(self, tmp_path):
@@ -411,46 +365,6 @@ class TestUnorderedIterRule:
                   "        acc.append(key)\n")
         findings = lint_source(tmp_path, "src/repro/ext.py", source)
         assert "unordered-iter" not in rules_hit(findings)
-
-
-# ----------------------------------------------------------------------
-# rule 8: registry-hygiene
-# ----------------------------------------------------------------------
-class TestRegistryHygieneRule:
-    def test_wrong_arity_triggers(self, tmp_path):
-        source = ("from repro.core.registry import register_backend\n"
-                  "def factory(a, b):\n"
-                  "    return None\n"
-                  "register_backend('fit', 'mine', factory)\n")
-        findings = lint_source(tmp_path, "src/repro/ext.py", source)
-        assert "registry-hygiene" in rules_hit(findings)
-
-    def test_unknown_kind_triggers(self, tmp_path):
-        source = ("from repro.core.registry import register_backend\n"
-                  "def factory():\n"
-                  "    return None\n"
-                  "register_backend('fits', 'mine', factory)\n")
-        findings = lint_source(tmp_path, "src/repro/ext.py", source)
-        assert "registry-hygiene" in rules_hit(findings)
-
-    def test_correct_contract_is_clean(self, tmp_path):
-        source = ("from repro.core.registry import register_backend\n"
-                  "def fit_factory(evaluator):\n"
-                  "    return None\n"
-                  "def column_factory(X, settings):\n"
-                  "    return None\n"
-                  "register_backend('fit', 'mine', fit_factory)\n"
-                  "register_backend('column', 'mine', column_factory)\n")
-        findings = lint_source(tmp_path, "src/repro/ext.py", source)
-        assert "registry-hygiene" not in rules_hit(findings)
-
-    def test_defaults_and_varargs_satisfy_contract(self, tmp_path):
-        source = ("from repro.core.registry import register_backend\n"
-                  "def factory(evaluator, extra=None):\n"
-                  "    return None\n"
-                  "register_backend('fit', 'mine', factory)\n")
-        findings = lint_source(tmp_path, "src/repro/ext.py", source)
-        assert "registry-hygiene" not in rules_hit(findings)
 
 
 # ----------------------------------------------------------------------
@@ -637,8 +551,7 @@ class TestCli:
         stream = io.StringIO()
         assert lint_main(["--list-rules"], stream=stream) == 0
         for rule_id in ("bit-identity", "errstate", "determinism",
-                        "spawn-safety", "crash-safety", "fault-spec",
-                        "unordered-iter", "registry-hygiene"):
+                        "crash-safety", "fault-spec", "unordered-iter"):
             assert rule_id in stream.getvalue()
 
     def test_missing_path_exits_two(self, tmp_path):

@@ -1,11 +1,11 @@
 """Compiled tree evaluation == interpreter, bit for bit.
 
-The compiled column backend (:mod:`repro.core.compile`) promises that every
+The compiled column evaluator (:mod:`repro.core.compile`) promises that every
 evaluation path -- fresh tape, skeleton-cache reuse with different
 parameters, per-node fallback, interpreter warmup -- produces the *exact*
 bytes the interpreter produces, magnitude clip and NaN semantics included.
 These tests enforce that promise over random trees (hypothesis) and over
-hand-built edge cases, and check the evaluator/engine integration.
+hand-built edge cases, and check the evaluator integration.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.core.compile import (
     compile_basis_function,
     skeleton_and_params,
 )
-from repro.core.evaluation import PopulationEvaluator
+from repro.core.evaluation import PopulationEvaluator, evaluate_individual_inplace
 from repro.core.expression import (
     BinaryOpTerm,
     ConditionalOpTerm,
@@ -139,7 +139,8 @@ def test_skeleton_walk_matches_lowering_order(seed):
 @given(seed=st.integers(min_value=0, max_value=10_000),
        n_individuals=st.integers(min_value=1, max_value=6))
 def test_evaluator_backends_bitwise_identical(seed, n_individuals):
-    """PopulationEvaluator: column_backend compiled == interp, bit for bit."""
+    """PopulationEvaluator (compiled columns, gram fits, batched residuals)
+    == the interpreter reference path, bit for bit."""
     settings = CaffeineSettings(population_size=10, n_generations=1,
                                 random_seed=seed, max_basis_functions=6)
     rng = np.random.default_rng(seed)
@@ -149,17 +150,20 @@ def test_evaluator_backends_bitwise_identical(seed, n_individuals):
     population = [Individual(bases=generator.random_basis_functions())
                   for _ in range(n_individuals)]
     reference = [ind.clone() for ind in population]
-    compiled = PopulationEvaluator(X, y,
-                                   settings.copy(column_backend="compiled"))
-    interp = PopulationEvaluator(X, y, settings.copy(column_backend="interp"))
+    compiled = PopulationEvaluator(X, y, settings)
+
+    def interpret(individuals):
+        for individual in individuals:
+            evaluate_individual_inplace(individual, X, y, settings)
+
     compiled.evaluate_population(population)
-    interp.evaluate_population(reference)
+    interpret(reference)
     # Second pass: parameter mutants hit the compiled skeleton cache.
     operators = VariationOperators(generator, settings, rng=rng)
     mutants = [operators.parameter_mutation(ind.clone()) for ind in population]
     mutant_reference = [ind.clone() for ind in mutants]
     compiled.evaluate_population(mutants)
-    interp.evaluate_population(mutant_reference)
+    interpret(mutant_reference)
     for a, b in zip(population + mutants, reference + mutant_reference):
         assert a.error == b.error
         assert a.complexity == b.complexity
@@ -467,21 +471,3 @@ class TestCanonicalFactorOrder:
                 key_before = structural_key(basis)
                 canonicalize_factors(basis)
                 assert structural_key(basis) == key_before
-
-
-def test_engine_fixed_seed_identical_across_column_backends():
-    """A full run (engine + simplify) is backend-independent, model for model."""
-    from repro.core.engine import run_caffeine
-    from repro.data.dataset import Dataset
-
-    rng = np.random.default_rng(7)
-    X = rng.uniform(0.5, 2.0, size=(40, 3))
-    y = 1.0 + X[:, 0] * X[:, 1] + np.sqrt(X[:, 2])
-    train = Dataset(X=X, y=y, variable_names=("a", "b", "c"), target_name="t")
-    base = CaffeineSettings.fast_settings(random_seed=11)
-    results = {}
-    for backend in ("interp", "compiled"):
-        result = run_caffeine(train, settings=base.copy(column_backend=backend))
-        results[backend] = [(m.train_error, m.complexity)
-                            for m in result.tradeoff]
-    assert results["compiled"] == results["interp"]

@@ -106,7 +106,7 @@ class TestBasisColumnCache:
 
 
 class TestEvaluatorEquivalence:
-    """Cached, uncached, serial and parallel evaluation are bit-for-bit equal."""
+    """Cached and uncached evaluation are bit-for-bit equal."""
 
     def _assert_same_evaluation(self, a: Individual, b: Individual):
         assert a.error == b.error
@@ -187,89 +187,6 @@ class TestEvaluatorEquivalence:
         for a, b in zip(population, reference):
             self._assert_same_evaluation(a, b)
 
-    def test_thread_backend_matches_serial(self, generator, rational_train,
-                                           fast_settings):
-        population = _random_population(generator, 10)
-        reference = [ind.clone() for ind in population]
-        threaded = PopulationEvaluator(
-            rational_train.X, rational_train.y,
-            fast_settings.copy(evaluation_backend="thread",
-                               evaluation_workers=2))
-        serial = PopulationEvaluator(rational_train.X, rational_train.y,
-                                     fast_settings)
-        threaded.evaluate_population(population)
-        serial.evaluate_population(reference)
-        for a, b in zip(population, reference):
-            self._assert_same_evaluation(a, b)
-
-    def test_process_backend_falls_back_on_lambdas(self, generator,
-                                                   rational_train, fast_settings):
-        population = _random_population(generator, 4)
-        # The default operators are module-level functions now, so build an
-        # artificial lambda-backed operator: it cannot be pickled across a
-        # process boundary, which must trigger the thread fallback.
-        from repro.core.functions import Operator
-
-        lambda_op = Operator("lambda_abs", 1, lambda x: abs(x),
-                             "lambda_abs({0})", "LABS")
-        with_op = ProductTerm(ops=[UnaryOpTerm(
-            op=lambda_op,
-            argument=WeightedSum(offset=Weight(stored=1.0)))])
-        population.append(Individual(bases=[with_op]))
-        evaluator = PopulationEvaluator(
-            rational_train.X, rational_train.y,
-            fast_settings.copy(evaluation_backend="process",
-                               evaluation_workers=2))
-        # Lambdas cannot cross a process boundary; the evaluator must
-        # degrade to threads, warn once, and still produce correct results.
-        with pytest.warns(RuntimeWarning):
-            evaluator.evaluate_population(population)
-        reference = [ind.clone() for ind in population]
-        for individual in reference:
-            individual.evaluate(rational_train.X, rational_train.y, fast_settings)
-        for a, b in zip(population, reference):
-            self._assert_same_evaluation(a, b)
-
-    def test_process_backend_runs_picklable_trees(self, rational_train,
-                                                  fast_settings):
-        """Default-set trees (including operator-bearing ones) pickle, so
-        the process pool genuinely runs (no fallback warning) and matches
-        the serial results."""
-        import warnings as warnings_module
-
-        population = [Individual(bases=[ProductTerm(vc=VariableCombo((k, j, 1)))])
-                      for k in (1, 2, 3) for j in (-1, -2)]
-        population.append(Individual(bases=[ProductTerm(
-            vc=VariableCombo((1, 0, 0)),
-            ops=[UnaryOpTerm(op=UNARY_OPERATORS["sqrt"],
-                             argument=WeightedSum(offset=Weight(stored=2.0)))])]))
-        reference = [ind.clone() for ind in population]
-        with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always")
-            with PopulationEvaluator(
-                    rational_train.X, rational_train.y,
-                    fast_settings.copy(evaluation_backend="process",
-                                       evaluation_workers=2)) as evaluator:
-                evaluator.evaluate_population(population)
-        assert not [w for w in caught
-                    if issubclass(w.category, RuntimeWarning)]
-        serial = PopulationEvaluator(rational_train.X, rational_train.y,
-                                     fast_settings)
-        serial.evaluate_population(reference)
-        for a, b in zip(population, reference):
-            self._assert_same_evaluation(a, b)
-
-    def test_run_releases_worker_pool(self, rational_train):
-        from repro.core.engine import CaffeineEngine
-
-        settings = CaffeineSettings(population_size=20, n_generations=2,
-                                    random_seed=0,
-                                    evaluation_backend="thread",
-                                    evaluation_workers=2)
-        engine = CaffeineEngine(rational_train, settings=settings)
-        engine.run()
-        assert engine.evaluator._executor is None
-
     def test_simplify_rejects_mismatched_evaluator(self, generator,
                                                    rational_train, fast_settings):
         from repro.core.simplify import simplify_individual
@@ -313,17 +230,16 @@ class TestEvaluatorValidation:
         with pytest.raises(ValueError):
             PopulationEvaluator(np.zeros((5, 2)), np.zeros(4), fast_settings)
 
-    def test_settings_validate_backend(self):
-        with pytest.raises(ValueError):
-            CaffeineSettings(evaluation_backend="gpu")
-        with pytest.raises(ValueError):
-            CaffeineSettings(evaluation_workers=-1)
-        with pytest.raises(ValueError):
-            CaffeineSettings(basis_cache_size=-1)
+    def test_settings_reject_negative_cache_budgets(self):
+        for field in ("basis_cache_size", "gram_pool_size",
+                      "kernel_cache_size"):
+            with pytest.raises(ValueError, match=field):
+                CaffeineSettings(**{field: -1})
 
 
 class TestGramPoolEquivalence:
-    """Gram-pool fits are bit-for-bit identical to direct fit_linear fits."""
+    """Gram-pool fits are bit-for-bit identical to direct fit_linear fits
+    (:func:`evaluate_individual_inplace`, the reference path)."""
 
     def _assert_same_evaluation(self, a: Individual, b: Individual):
         assert a.error == b.error
@@ -336,18 +252,22 @@ class TestGramPoolEquivalence:
             assert a.fit.rank == b.fit.rank
             assert a.fit.singular == b.fit.singular
 
+    @staticmethod
+    def _direct(individuals, X, y, settings):
+        for individual in individuals:
+            evaluate_individual_inplace(individual, X, y, settings)
+
     def test_gram_matches_direct_on_random_populations(self, generator,
                                                        rational_train,
                                                        fast_settings):
         population = _random_population(generator, 25)
         reference = [ind.clone() for ind in population]
         gram = PopulationEvaluator(rational_train.X, rational_train.y,
-                                   fast_settings.copy(fit_backend="gram"))
-        direct = PopulationEvaluator(rational_train.X, rational_train.y,
-                                     fast_settings.copy(fit_backend="direct"))
+                                   fast_settings)
         gram.evaluate_population(population)
-        direct.evaluate_population(reference)
-        assert gram.gram_pool is not None and direct.gram_pool is None
+        self._direct(reference, rational_train.X, rational_train.y,
+                     fast_settings)
+        assert gram.gram_pool.n_pairs_computed > 0
         for a, b in zip(population, reference):
             self._assert_same_evaluation(a, b)
 
@@ -359,7 +279,7 @@ class TestGramPoolEquivalence:
         population = _random_population(generator, 10)
         evaluator = PopulationEvaluator(
             rational_train.X, rational_train.y,
-            fast_settings.copy(fit_backend="gram", basis_cache_size=0))
+            fast_settings.copy(basis_cache_size=0))
         evaluator.evaluate_population(population)
         pairs_after_first = evaluator.gram_pool.n_pairs_computed
         assert pairs_after_first > 0
@@ -372,13 +292,10 @@ class TestGramPoolEquivalence:
         X = rational_train.X.copy()
         X[0, 0] = 0.0
         bad = Individual(bases=[ProductTerm(vc=VariableCombo((-4, 0, 0)))])
-        gram = PopulationEvaluator(X, rational_train.y,
-                                   fast_settings.copy(fit_backend="gram"))
-        direct = PopulationEvaluator(X, rational_train.y,
-                                     fast_settings.copy(fit_backend="direct"))
+        gram = PopulationEvaluator(X, rational_train.y, fast_settings)
         a, b = bad.clone(), bad.clone()
         gram.evaluate_individual(a)
-        direct.evaluate_individual(b)
+        self._direct([b], X, rational_train.y, fast_settings)
         assert not a.is_feasible and not b.is_feasible
         self._assert_same_evaluation(a, b)
 
@@ -388,27 +305,18 @@ class TestGramPoolEquivalence:
         population = _random_population(generator, 12)
         reference = [ind.clone() for ind in population]
         tiny = PopulationEvaluator(rational_train.X, rational_train.y,
-                                   fast_settings.copy(fit_backend="gram",
-                                                      gram_pool_size=3))
-        direct = PopulationEvaluator(rational_train.X, rational_train.y,
-                                     fast_settings.copy(fit_backend="direct"))
+                                   fast_settings.copy(gram_pool_size=3))
         tiny.evaluate_population(population)
-        direct.evaluate_population(reference)
+        self._direct(reference, rational_train.X, rational_train.y,
+                     fast_settings)
         for a, b in zip(population, reference):
             self._assert_same_evaluation(a, b)
 
-    def test_settings_validate_fit_backend(self):
-        with pytest.raises(ValueError):
-            CaffeineSettings(fit_backend="magic")
-        with pytest.raises(ValueError):
-            CaffeineSettings(gram_pool_size=-1)
-        with pytest.raises(ValueError):
-            CaffeineSettings(pareto_backend="fortran")
 
 
 class TestPicklableFunctionSet:
-    """The default function set round-trips through pickle (so the process
-    evaluation backend genuinely runs instead of degrading to threads)."""
+    """The default function set round-trips through pickle (so problems,
+    settings and results cross ``Session(jobs > 1)`` worker processes)."""
 
     def test_default_function_set_round_trips(self):
         import pickle as pickle_module
@@ -517,37 +425,6 @@ class TestEndToEndReproducibility:
             [m.expression() for m in uncached.tradeoff]
         assert [m.train_error for m in cached.tradeoff] == \
             [m.train_error for m in uncached.tradeoff]
-
-    def test_thread_backend_same_tradeoff(self, rational_train, rational_test):
-        base = CaffeineSettings(population_size=20, n_generations=4,
-                                random_seed=7)
-        serial = run_caffeine(rational_train, rational_test, base)
-        threaded = run_caffeine(rational_train, rational_test,
-                                base.copy(evaluation_backend="thread",
-                                          evaluation_workers=2))
-        assert [m.expression() for m in serial.tradeoff] == \
-            [m.expression() for m in threaded.tradeoff]
-
-    def test_gram_and_pareto_backends_same_tradeoff(self, rational_train,
-                                                    rational_test):
-        """Fixed seed => identical trade-offs with the gram-pool fits and
-        the vectorized Pareto kernels on or off (all four combinations)."""
-        base = CaffeineSettings(population_size=20, n_generations=4,
-                                random_seed=7)
-        reference = run_caffeine(rational_train, rational_test, base)
-        for fit_backend in ("gram", "direct"):
-            for pareto_backend in ("numpy", "python"):
-                result = run_caffeine(
-                    rational_train, rational_test,
-                    base.copy(fit_backend=fit_backend,
-                              pareto_backend=pareto_backend))
-                assert [m.expression() for m in result.tradeoff] == \
-                    [m.expression() for m in reference.tradeoff], \
-                    (fit_backend, pareto_backend)
-                assert [m.train_error for m in result.tradeoff] == \
-                    [m.train_error for m in reference.tradeoff]
-                assert [m.test_error for m in result.tradeoff] == \
-                    [m.test_error for m in reference.tradeoff]
 
     def test_shared_column_cache_same_tradeoff(self, rational_train,
                                                rational_test):

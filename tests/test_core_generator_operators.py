@@ -12,7 +12,7 @@ from repro.core.functions import polynomial_function_set, rational_function_set
 from repro.core.generator import ExpressionGenerator
 from repro.core.grammar import default_grammar, validate_expression
 from repro.core.individual import Individual
-from repro.core.operators import VariationOperators, collect_slots
+from repro.core.operators import VariationOperators
 from repro.core.settings import CaffeineSettings
 
 
@@ -85,23 +85,6 @@ class TestGenerator:
         generator = ExpressionGenerator(3, poly_settings)
         with pytest.raises(ValueError):
             generator.random_op_term(4)
-
-
-class TestSlots:
-    def test_collect_slots_covers_bases(self, generator):
-        individual = make_individual(generator, n_bases=3)
-        slots = collect_slots(individual)
-        kinds = {slot.kind for slot in slots}
-        assert "REPVC" in kinds
-        base_slots = [s for s in slots if s.kind == "REPVC"]
-        assert len(base_slots) >= 3
-
-    def test_slot_set_replaces_node(self, generator):
-        individual = make_individual(generator, n_bases=2)
-        slots = [s for s in collect_slots(individual) if s.kind == "REPVC"]
-        replacement = generator.random_product_term()
-        slots[0].set(replacement)
-        assert slots[0].get() is replacement
 
 
 class TestVariationOperators:
@@ -212,10 +195,9 @@ def _tree_snapshot(individual):
         for basis in individual.bases)
 
 
-def _backend_pair(backend, seed):
+def _operators_for(seed):
     settings = CaffeineSettings(population_size=20, n_generations=5,
-                                max_basis_functions=6, random_seed=0,
-                                genome_backend=backend)
+                                max_basis_functions=6, random_seed=0)
     generator = ExpressionGenerator(n_variables=4, settings=settings,
                                     rng=np.random.default_rng(seed))
     operators = VariationOperators(generator, settings,
@@ -232,80 +214,38 @@ OPERATOR_ARITY = {
 }
 
 
-class TestGenomeBackends:
-    def test_settings_reject_unknown_genome_backend(self):
-        with pytest.raises(ValueError, match="genome_backend must be"):
-            CaffeineSettings(genome_backend="cow")
-
+class TestGenomeSharing:
     def test_subtree_crossover_never_clones_whole_donor(self):
-        """Regression: the deepcopy path used to deep-clone the entire donor
+        """Regression: crossover once deep-cloned the entire donor
         individual just to enumerate graft sites.  Counting clone() calls on
-        the donor's basis roots, a single crossover may clone at most the one
-        transplanted subtree (<= 1 root clone; a wholesale donor clone would
-        count one per donor basis), and the shared path clones nothing."""
-        for backend, per_call_limit in (("shared", 0), ("deepcopy", 1)):
-            generator, operators = _backend_pair(backend, seed=10)
-            parent_a = make_individual(generator, n_bases=3)
-            parent_b = make_individual(generator, n_bases=3)
-            counter = [0]
-            for basis in parent_b.bases:
-                def counting_clone(_basis=basis):
-                    counter[0] += 1
-                    return type(_basis).clone(_basis)
-                basis.clone = counting_clone
-            for _ in range(30):
-                before = counter[0]
-                operators.subtree_crossover(parent_a, parent_b)
-                assert counter[0] - before <= per_call_limit, backend
-
-    def test_vary_streams_bit_identical_across_backends(self):
-        """The shared (path-copying) and deepcopy (reference) genome backends
-        must produce bit-identical children from an identical RNG stream --
-        including when shared children are recycled as parents."""
-        results = {}
-        for backend in ("shared", "deepcopy"):
-            generator, operators = _backend_pair(backend, seed=20)
-            population = [make_individual(generator, n_bases=3)
-                          for _ in range(5)]
-            children = []
-            for i in range(120):
-                child = operators.vary(population[i % 5],
-                                       population[(i * 3 + 1) % 5])
-                children.append(_tree_snapshot(child))
-                if i % 4 == 0:
-                    population[i % 5] = child
-            rng_state = operators.rng.bit_generator.state["state"]["state"]
-            results[backend] = (children, rng_state)
-        assert results["shared"] == results["deepcopy"]
-
-    def test_engine_runs_bit_identical_across_backends(self, rational_train,
-                                                       fast_settings):
-        from repro.core.engine import run_caffeine
-
-        fronts = {}
-        for backend in ("shared", "deepcopy"):
-            settings = fast_settings.copy(n_generations=4,
-                                          genome_backend=backend)
-            result = run_caffeine(rational_train, settings=settings)
-            fronts[backend] = [(repr(m.train_error), repr(m.complexity),
-                                m.expression()) for m in result.tradeoff]
-        assert fronts["shared"] == fronts["deepcopy"]
-        assert fronts["shared"]  # non-degenerate: the run found models
+        the donor's basis roots, path-copying crossover clones nothing: the
+        donor subtree is grafted by reference."""
+        generator, operators = _operators_for(seed=10)
+        parent_a = make_individual(generator, n_bases=3)
+        parent_b = make_individual(generator, n_bases=3)
+        counter = [0]
+        for basis in parent_b.bases:
+            def counting_clone(_basis=basis):
+                counter[0] += 1
+                return type(_basis).clone(_basis)
+            basis.clone = counting_clone
+        for _ in range(30):
+            operators.subtree_crossover(parent_a, parent_b)
+        assert counter[0] == 0
 
 
 class TestParentIsolationProperty:
     @given(seed=st.integers(0, 10_000),
-           name=st.sampled_from(sorted(OPERATOR_ARITY)),
-           backend=st.sampled_from(["shared", "deepcopy"]))
+           name=st.sampled_from(sorted(OPERATOR_ARITY)))
     @hyp_settings(max_examples=80, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
-    def test_operator_leaves_parents_bit_identical(self, seed, name, backend):
-        """After any variation operator, in either genome backend, both
+    def test_operator_leaves_parents_bit_identical(self, seed, name):
+        """After any variation operator, both
         parents' trees are bit-identical to before: same structural keys,
         same stored weight values.  This is the invariant that makes
         structure sharing safe -- a shared subtree is never edited in
         place."""
-        generator, operators = _backend_pair(backend, seed)
+        generator, operators = _operators_for(seed)
         parent_a = make_individual(generator, n_bases=1 + seed % 4)
         parent_b = make_individual(generator, n_bases=1 + (seed // 4) % 4)
         before_a = _tree_snapshot(parent_a)

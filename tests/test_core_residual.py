@@ -1,10 +1,12 @@
-"""Batched vs scalar residual engine: bit-for-bit equality guarantees.
+"""Batched residual engine vs the scalar metric: bit-for-bit equality.
 
-The generation-batched residual pass (``CaffeineSettings.residual_backend =
-"batched"``) claims its stacked predictions and row-stacked residual
-reductions are bit-for-bit identical to the per-individual scalar path.
-These tests enforce that claim over adversarial inputs (NaN, signed zeros,
-huge magnitudes, infinities) and over full fixed-seed engine runs.
+The generation-batched residual pass (``BatchedResidualBackend``) claims its
+stacked predictions and row-stacked residual reductions are bit-for-bit
+identical to scoring each individual on its own with
+``relative_rmse(y, fit.predict(basis_matrix), normalization)``.  These tests
+enforce that claim over adversarial inputs (NaN, signed zeros, huge
+magnitudes, infinities), over evaluator populations and over the test-set
+scoring of finished runs.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ from repro.core.engine import run_caffeine
 from repro.core.evaluation import (
     BatchedResidualBackend,
     PopulationEvaluator,
-    ScalarResidualBackend,
+    evaluate_individual_inplace,
 )
 from repro.core.generator import ExpressionGenerator
 from repro.core.individual import Individual
 from repro.core.model import batch_test_errors
-from repro.core.registry import backend_names
 from repro.core.settings import CaffeineSettings
 from repro.data.metrics import relative_rmse, relative_rmse_rows
 from repro.regression.least_squares import (
@@ -188,8 +189,14 @@ class TestRelativeRmseRows:
             relative_rmse_rows(np.ones(3), np.ones((2, 3)), 0.0)
 
 
+def _scalar_errors(y, normalization, fits, matrices):
+    """The reference: one prediction/residual pass per individual."""
+    return [relative_rmse(y, fit.predict(matrix), normalization)
+            for fit, matrix in zip(fits, matrices)]
+
+
 class TestResidualBackends:
-    """The registered "scalar" and "batched" backends agree bit for bit."""
+    """The batched backend agrees bit for bit with per-individual scoring."""
 
     def _group(self, rng, m, k, n):
         y = rng.normal(size=n)
@@ -208,9 +215,8 @@ class TestResidualBackends:
     def test_backends_agree_on_fitted_groups(self, k):
         rng = np.random.default_rng(k)
         y, fits, matrices = self._group(rng, 5, k, 30)
-        scalar = ScalarResidualBackend(y, 2.5)
         batched = BatchedResidualBackend(y, 2.5)
-        scalar_errors = scalar.errors(fits, matrices)
+        scalar_errors = _scalar_errors(y, 2.5, fits, matrices)
         batched_errors = batched.errors(fits, matrices)
         assert scalar_errors == batched_errors
         for fit, matrix, expected in zip(fits, matrices, scalar_errors):
@@ -221,7 +227,7 @@ class TestResidualBackends:
 
     def test_nan_columns_score_identically(self):
         """Test-set matrices may contain NaN (blow-up columns): both
-        backends must report the exact same errors (inf for NaN rows)."""
+        paths must report the exact same errors (inf for NaN rows)."""
         rng = np.random.default_rng(9)
         y = rng.normal(size=20)
         matrices = []
@@ -235,23 +241,18 @@ class TestResidualBackends:
                 matrix[case, case % 2] = np.nan
             fits.append(fit)
             matrices.append(matrix)
-        scalar = ScalarResidualBackend(y, 1.5)
         batched = BatchedResidualBackend(y, 1.5)
-        scalar_errors = scalar.errors(fits, matrices)
+        scalar_errors = _scalar_errors(y, 1.5, fits, matrices)
         batched_errors = batched.errors(fits, matrices)
         assert scalar_errors == batched_errors
         assert scalar_errors[1] == float("inf")
         assert scalar_errors[3] == float("inf")
         assert np.isfinite(scalar_errors[0]) and np.isfinite(scalar_errors[2])
 
-    def test_registered_names(self):
-        assert set(backend_names("residual")) >= {"scalar", "batched"}
-        with pytest.raises(ValueError):
-            CaffeineSettings(residual_backend="gpu")
 
 
 class TestEvaluatorResidualEquivalence:
-    """Population evaluation is identical under both residual backends."""
+    """Population evaluation equals the per-individual reference path."""
 
     def test_population_bitwise_equal(self, rational_train, fast_settings):
         generator = ExpressionGenerator(3, fast_settings,
@@ -259,16 +260,12 @@ class TestEvaluatorResidualEquivalence:
         population = [Individual(bases=generator.random_basis_functions())
                       for _ in range(25)]
         clones = [ind.clone() for ind in population]
-        batched = PopulationEvaluator(
-            rational_train.X, rational_train.y,
-            fast_settings.copy(residual_backend="batched"))
-        scalar = PopulationEvaluator(
-            rational_train.X, rational_train.y,
-            fast_settings.copy(residual_backend="scalar"))
+        batched = PopulationEvaluator(rational_train.X, rational_train.y,
+                                      fast_settings)
         batched.evaluate_population(population)
-        scalar.evaluate_population(clones)
-        assert batched.residual_backend.name == "batched"
-        assert scalar.residual_backend.name == "scalar"
+        for individual in clones:
+            evaluate_individual_inplace(individual, rational_train.X,
+                                        rational_train.y, fast_settings)
         assert batched.residual_backend.n_batched_fits > 0
         for a, b in zip(population, clones):
             assert a.error == b.error
@@ -330,20 +327,7 @@ class TestAdaptiveBudgets:
 
 
 class TestEngineResidualEquivalence:
-    """Fixed seed => identical trade-offs with the batched pass on or off."""
-
-    def test_fixed_seed_engine_equality(self, rational_train, rational_test):
-        base = CaffeineSettings(population_size=20, n_generations=4,
-                                random_seed=7)
-        batched = run_caffeine(rational_train, rational_test, base)
-        scalar = run_caffeine(rational_train, rational_test,
-                              base.copy(residual_backend="scalar"))
-        assert [m.expression() for m in batched.tradeoff] == \
-            [m.expression() for m in scalar.tradeoff]
-        assert [m.train_error for m in batched.tradeoff] == \
-            [m.train_error for m in scalar.tradeoff]
-        assert [m.test_error for m in batched.tradeoff] == \
-            [m.test_error for m in scalar.tradeoff]
+    """Batched test-set scoring equals per-model scoring."""
 
     def test_batched_test_scoring_matches_scalar_freeze(self, rational_train,
                                                         rational_test):
@@ -374,9 +358,6 @@ class TestEngineResidualEquivalence:
         models = list(result.tradeoff)
         assert models
         batched = rescore_models(models, rational_test.X, rational_test.y)
-        scalar = rescore_models(models, rational_test.X, rational_test.y,
-                                backend="scalar")
-        assert batched == scalar
         for model, fresh in zip(models, batched):
             expected = q_tc(rational_test.y,
                             model.predict_transformed(rational_test.X),
@@ -401,8 +382,10 @@ class TestEngineResidualEquivalence:
         assert len(fitted) >= 2
         batched = batch_test_errors(fitted, rational_test.X, rational_test.y,
                                     evaluator.normalization)
-        scalar = batch_test_errors(fitted, rational_test.X, rational_test.y,
-                                   evaluator.normalization, backend="scalar")
+        scalar = [relative_rmse(rational_test.y,
+                                individual.predict(rational_test.X),
+                                evaluator.normalization)
+                  for individual in fitted]
         assert batched == scalar
         with pytest.raises(ValueError):
             batch_test_errors([Individual(bases=generator

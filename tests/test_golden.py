@@ -23,9 +23,6 @@ def test_golden_fronts(case):
 #: settings that must never change a front: each variant reruns the
 #: ``pm_pop100`` case and must reproduce its golden fingerprint
 RESULT_NEUTRAL_VARIANTS = {
-    "all-reference": dict(column_backend="interp", fit_backend="direct",
-                          residual_backend="scalar", pareto_backend="python",
-                          genome_backend="deepcopy"),
     "gram-pool-0": dict(gram_pool_size=0),
     "gram-pool-0-no-column-cache": dict(gram_pool_size=0, basis_cache_size=0),
 }

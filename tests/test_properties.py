@@ -24,6 +24,8 @@ from repro.data.metrics import error_normalization, normalized_mse, relative_rms
 from repro.doe.orthogonal import is_orthogonal_array, orthogonal_array
 from repro.regression.least_squares import fit_linear
 
+import reference_pareto
+
 # Shared hypothesis profile: keep examples modest so the suite stays fast.
 FAST = hyp_settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -164,7 +166,7 @@ def test_crowding_distances_nonnegative(vectors):
 # ----------------------------------------------------------------------
 # Adversarial objective values: exact ties and signed zeros (stable-sort
 # order must agree), infinities (the engine's infeasibility marker), plus
-# ordinary magnitudes.  NaN is deliberately excluded: the backends document
+# ordinary magnitudes.  NaN is deliberately excluded: the kernels document
 # it as unsupported (sort placement would differ).
 _adversarial_value = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300,
@@ -188,23 +190,23 @@ def _equal_length_vectors(draw):
 @FAST
 @given(vectors=_equal_length_vectors())
 def test_fast_sort_backends_identical(vectors):
-    python_fronts = fast_nondominated_sort(vectors, backend="python")
-    numpy_fronts = fast_nondominated_sort(vectors, backend="numpy")
+    python_fronts = reference_pareto.fast_nondominated_sort(vectors)
+    numpy_fronts = fast_nondominated_sort(vectors)
     assert numpy_fronts == python_fronts
 
 
 @FAST
 @given(vectors=_equal_length_vectors())
 def test_nondominated_indices_backends_identical(vectors):
-    assert nondominated_indices(vectors, backend="numpy") == \
-        nondominated_indices(vectors, backend="python")
+    assert nondominated_indices(vectors) == \
+        reference_pareto.nondominated_indices(vectors)
 
 
 @FAST
 @given(vectors=_equal_length_vectors())
 def test_crowding_backends_identical(vectors):
-    python_distances = crowding_distances(vectors, backend="python")
-    numpy_distances = crowding_distances(vectors, backend="numpy")
+    python_distances = reference_pareto.crowding_distances(vectors)
+    numpy_distances = crowding_distances(vectors)
     assert len(python_distances) == len(numpy_distances)
     for a, b in zip(python_distances, numpy_distances):
         # Bitwise agreement, inf included (inf == inf holds).
@@ -227,16 +229,35 @@ def test_rank_and_selection_backends_identical(vectors, seed, target_fraction):
         objectives: tuple
 
     population = [Point(v) for v in vectors]
-    ranked_python = rank_population(population, backend="python")
-    ranked_numpy = rank_population(population, backend="numpy")
-    assert [r.rank for r in ranked_python] == [r.rank for r in ranked_numpy]
-    assert [r.crowding for r in ranked_python] == \
-        [r.crowding for r in ranked_numpy]
+    # Reference NSGA-II ranking and survivor selection, built directly on
+    # the pure-Python kernels: fill by fronts, truncate the partial front
+    # by descending crowding with ties kept in front order.
+    fronts = reference_pareto.fast_nondominated_sort(vectors)
+    ranks = [0] * len(vectors)
+    crowding = [0.0] * len(vectors)
+    for rank, front in enumerate(fronts):
+        distances = reference_pareto.crowding_distances(
+            [vectors[i] for i in front])
+        for i, distance in zip(front, distances):
+            ranks[i] = rank
+            crowding[i] = distance
+    ranked = rank_population(population)
+    assert [r.rank for r in ranked] == ranks
+    assert [r.crowding for r in ranked] == crowding
     target = max(1, int(len(population) * target_fraction))
-    assert [id(p) for p in environmental_selection(population, target,
-                                                   backend="python")] == \
-        [id(p) for p in environmental_selection(population, target,
-                                                backend="numpy")]
+    survivors = []
+    for front in fronts:
+        if len(survivors) + len(front) <= target:
+            survivors.extend(front)
+            continue
+        distances = reference_pareto.crowding_distances(
+            [vectors[i] for i in front])
+        order = sorted(range(len(front)), key=distances.__getitem__,
+                       reverse=True)
+        survivors.extend(front[k] for k in order[:target - len(survivors)])
+        break
+    assert [id(p) for p in environmental_selection(population, target)] == \
+        [id(population[i]) for i in survivors]
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +305,8 @@ def test_gram_fit_bitwise_equals_fit_linear(n_samples, n_bases,
 @given(seed=st.integers(min_value=0, max_value=10_000),
        n_individuals=st.integers(min_value=1, max_value=8))
 def test_gram_evaluator_bitwise_equals_direct_evaluator(seed, n_individuals):
-    from repro.core.evaluation import PopulationEvaluator
+    from repro.core.evaluation import (PopulationEvaluator,
+                                       evaluate_individual_inplace)
     from repro.core.individual import Individual
 
     settings = CaffeineSettings(population_size=10, n_generations=1,
@@ -296,10 +318,10 @@ def test_gram_evaluator_bitwise_equals_direct_evaluator(seed, n_individuals):
     population = [Individual(bases=generator.random_basis_functions())
                   for _ in range(n_individuals)]
     reference = [ind.clone() for ind in population]
-    gram = PopulationEvaluator(X, y, settings.copy(fit_backend="gram"))
-    direct = PopulationEvaluator(X, y, settings.copy(fit_backend="direct"))
+    gram = PopulationEvaluator(X, y, settings)
     gram.evaluate_population(population)
-    direct.evaluate_population(reference)
+    for individual in reference:
+        evaluate_individual_inplace(individual, X, y, settings)
     for a, b in zip(population, reference):
         assert a.error == b.error
         assert a.complexity == b.complexity

@@ -71,6 +71,18 @@ def _post_status(server, path, payload) -> int:
         return error.code
 
 
+def _post_raw(server, path, body: bytes):
+    """(status, parsed JSON body) of a POST with a verbatim request body."""
+    request = urllib.request.Request(
+        server.url + path, data=body,
+        headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=10) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
 class TestEndpoints:
     def test_healthz(self, server):
         health = _get(server, "/healthz")
@@ -147,6 +159,28 @@ class TestRejections:
         assert _post_status(server, "/predict",
                             {"X": [[1.0, 1.0]],
                              "complexity_max": -1.0}) == 400
+
+    def test_deeply_nested_body_is_a_400(self, server):
+        status, body = _post_raw(server, "/predict", b"[" * 100000)
+        assert status == 400
+        assert "nested too deeply" in body["error"]
+        assert _get(server, "/healthz")["status"] == "ok"
+
+    # Five spellings that float() / json.loads turn into NaN or infinity.
+    @pytest.mark.parametrize("spelling", ['"nan"', '"inf"', "1e400", "NaN",
+                                          "Infinity"])
+    def test_non_finite_input_rejected(self, server, spelling):
+        status, body = _post_raw(
+            server, "/predict",
+            f'{{"X": [[1.0, {spelling}]]}}'.encode())
+        assert status == 400
+        assert "'X'" in body["error"]
+        status, body = _post_raw(
+            server, "/rescore",
+            f'{{"X": [[1.0, 1.0], [1.5, 1.0]], "y": [2.0, {spelling}]}}'
+            .encode())
+        assert status == 400
+        assert "'y'" in body["error"]
 
     def test_unknown_paths(self, server):
         assert _post_status(server, "/nope", {"X": []}) == 404
