@@ -25,8 +25,8 @@ the *same* dataset.  This module removes that redundancy:
   ``n_samples`` beyond the final residual step; offspring that differ from a
   parent by one basis function cost ``k`` fresh pair dots instead of a full
   ``k^2`` gram (the incremental, "rank-1" regime);
-* :func:`evaluate_individual_inplace` -- the one-individual path that
-  ``Individual.evaluate`` wraps for backward compatibility.
+* :func:`evaluate_individual_inplace` -- the plain one-individual path that
+  ``Individual.evaluate`` wraps and the tests use as the reference.
 
 Correctness invariant: a cache hit returns the exact array a fresh
 evaluation would produce (both go through
@@ -423,24 +423,20 @@ class GramPool:
 
 
 def evaluate_individual_inplace(individual: Individual, X: np.ndarray,
-                                y: np.ndarray, settings: CaffeineSettings,
-                                basis_matrix: Optional[np.ndarray] = None,
-                                normalization: Optional[float] = None,
-                                complexity: Optional[float] = None) -> None:
+                                y: np.ndarray,
+                                settings: CaffeineSettings) -> None:
     """Fit one individual's linear weights and set both objectives in place.
 
-    This is the single implementation behind ``Individual.evaluate`` and the
-    batch evaluator; ``basis_matrix``/``normalization``/``complexity`` let
-    callers that already hold those (the evaluator, with cached columns and
-    per-basis complexities) skip recomputing them.
+    The plain per-individual path behind ``Individual.evaluate``: interpret
+    every basis tree, run one full
+    :func:`~repro.regression.least_squares.fit_linear` and score with
+    :func:`~repro.data.metrics.relative_rmse`.  The batch evaluator must
+    reproduce it bit for bit; the tests use it as the reference.
     """
     y = np.asarray(y, dtype=float)
-    individual.complexity = (complexity if complexity is not None
-                             else model_complexity(individual.bases, settings))
-    individual.normalization = (normalization if normalization is not None
-                                else error_normalization(y))
-    if basis_matrix is None:
-        basis_matrix = evaluate_basis_matrix(individual.bases, X)
+    individual.complexity = model_complexity(individual.bases, settings)
+    individual.normalization = error_normalization(y)
+    basis_matrix = evaluate_basis_matrix(individual.bases, X)
     fit = fit_linear(basis_matrix, y)
     if fit is None:
         individual.fit = None
