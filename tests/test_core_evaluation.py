@@ -230,11 +230,19 @@ class TestEvaluatorValidation:
         with pytest.raises(ValueError):
             PopulationEvaluator(np.zeros((5, 2)), np.zeros(4), fast_settings)
 
-    def test_settings_reject_negative_cache_budgets(self):
-        for field in ("basis_cache_size", "gram_pool_size",
-                      "kernel_cache_size"):
-            with pytest.raises(ValueError, match=field):
-                CaffeineSettings(**{field: -1})
+    def test_settings_validate_backend(self):
+        # There is one evaluation path, so the old backend switches are
+        # unknown fields; the basis-cache budget is still validated.
+        for field, value in (("evaluation_backend", "serial"),
+                             ("evaluation_workers", 1)):
+            with pytest.raises(TypeError, match=field):
+                CaffeineSettings(**{field: value})
+        with pytest.raises(ValueError, match="basis_cache_size"):
+            CaffeineSettings(basis_cache_size=-1)
+
+    def test_settings_reject_negative_kernel_cache_size(self):
+        with pytest.raises(ValueError, match="kernel_cache_size"):
+            CaffeineSettings(kernel_cache_size=-1)
 
 
 class TestGramPoolEquivalence:
@@ -312,6 +320,16 @@ class TestGramPoolEquivalence:
         for a, b in zip(population, reference):
             self._assert_same_evaluation(a, b)
 
+    def test_settings_validate_fit_backend(self):
+        # Gram-pool fits and the NumPy Pareto sort are the only paths, so
+        # the old backend switches are unknown fields; the pool budget is
+        # still validated.
+        for field, value in (("fit_backend", "gram"),
+                             ("pareto_backend", "numpy")):
+            with pytest.raises(TypeError, match=field):
+                CaffeineSettings(**{field: value})
+        with pytest.raises(ValueError, match="gram_pool_size"):
+            CaffeineSettings(gram_pool_size=-1)
 
 
 class TestPicklableFunctionSet:
