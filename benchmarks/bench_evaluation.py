@@ -20,8 +20,8 @@ cache hit rates next to the naive path.  Further sections:
 :class:`~repro.core.cache_store.ColumnCacheStore` file);
 ``population_1000`` (one fixed-seed ``CaffeineEngine.run`` at population
 1000, the ROADMAP's scaling item: wall-clock, evaluations/sec, every cache
-hit rate and the size-adaptive budgets actually resolved -- per-phase
-seconds come from the traced run, ``python3 perfbench/run.py --workload
+hit rate and the cache budgets derived for it -- per-phase seconds come
+from the traced run, ``python3 perfbench/run.py --workload
 pm-pop1000 --trace 1``); ``selection_variation`` (per-operator child cost
 and node clones per offspring of the path-copying variation operators);
 ``golden_fronts`` (the fixed-seed fronts pinned in ``tests/golden``,
@@ -53,6 +53,7 @@ from repro.core.cache_store import ColumnCacheStore
 from repro.core.engine import CaffeineEngine
 from repro.core.evaluation import (
     PopulationEvaluator,
+    cache_budgets,
     evaluate_individual_inplace,
 )
 from repro.core.nsga2 import rank_population
@@ -71,7 +72,7 @@ MIN_REEVALUATION_SPEEDUP = 0.0 if _GATES_RELAXED else 2.5
 MIN_OFFSPRING_SPEEDUP_GRAM = 0.0 if _GATES_RELAXED else 2.0
 MIN_WARM_CACHE_SPEEDUP = 0.0 if _GATES_RELAXED else 1.0
 #: Acceptance gate for the population-1000 scaling work: canonical factor
-#: ordering plus the size-adaptive kernel budget must lift the compiler's
+#: ordering plus the size-derived kernel budget must lift the compiler's
 #: kernel hit rate above the ~25% the ROADMAP flagged.  Deterministic
 #: (fixed seed), so never relaxed.
 MIN_POPULATION_1000_KERNEL_HIT_RATE = 0.25
@@ -220,10 +221,11 @@ def _measure_population_1000(train):
 
     One fixed-seed ``CaffeineEngine.run`` at population 1000 (generation,
     evaluation, selection, simplification), reporting its wall-clock,
-    evaluation throughput, every cache hit rate and the size-adaptive
-    budgets the run resolved.  Per-phase seconds come from the traced run
-    (``python3 perfbench/run.py --workload pm-pop1000 --trace 1``), which
-    times the engine's own layers instead of a copy of its loop.
+    evaluation throughput, every cache hit rate and the cache budgets
+    derived for it (:func:`~repro.core.evaluation.cache_budgets`).
+    Per-phase seconds come from the traced run (``python3 perfbench/run.py
+    --workload pm-pop1000 --trace 1``), which times the engine's own layers
+    instead of a copy of its loop.
     """
     settings = POPULATION_1000_SETTINGS
     engine = CaffeineEngine(train, settings=settings)
@@ -248,9 +250,7 @@ def _measure_population_1000(train):
         "kernels_compiled": compiler.n_compiled,
         "column_cache_entries": len(evaluator.cache),
         "gram_pool_entries": len(evaluator.gram_pool),
-        "resolved_basis_cache_size": settings.resolved_basis_cache_size(),
-        "resolved_gram_pool_size": settings.resolved_gram_pool_size(),
-        "resolved_kernel_cache_size": settings.resolved_kernel_cache_size(),
+        "cache_budgets": cache_budgets(settings)._asdict(),
     }
 
 
@@ -364,7 +364,7 @@ def _measure_persistent_cache(engine, batches, tmp_path):
     save_seconds = time.perf_counter() - save_start
 
     load_start = time.perf_counter()
-    store.load(WORKLOAD_SETTINGS.resolved_basis_cache_size())
+    store.load(cache_budgets(WORKLOAD_SETTINGS).columns)
     load_seconds = time.perf_counter() - load_start
 
     seconds_by_path = {"cold": [], "warm": []}
@@ -373,7 +373,7 @@ def _measure_persistent_cache(engine, batches, tmp_path):
     for _round in range(TIMING_ROUNDS):
         seconds, _cold, _evaluator = _run_cached(engine, batches)
         seconds_by_path["cold"].append(seconds)
-        warm_cache = store.load(WORKLOAD_SETTINGS.resolved_basis_cache_size())
+        warm_cache = store.load(cache_budgets(WORKLOAD_SETTINGS).columns)
         seconds, warm, evaluator = _run_cached(engine, batches,
                                                cache=warm_cache)
         seconds_by_path["warm"].append(seconds)
@@ -394,42 +394,6 @@ def _measure_persistent_cache(engine, batches, tmp_path):
         "cold_columns_computed": cold_evaluator.n_columns_computed,
         "warm_columns_computed": warm_evaluator.n_columns_computed,
         "warm_column_hit_rate": round(warm_evaluator.column_hit_rate, 4),
-    }
-    return report, equal
-
-
-def _measure_session_api(train):
-    """Legacy ``run_caffeine`` shim vs the Problem/Session path, PR 4's API.
-
-    Both run the same small fixed-seed workload; the section records wall
-    clocks and -- the part the trajectory gate cares about -- whether the
-    resulting Pareto fronts are bit-for-bit identical, which is the
-    guarantee the deprecation shims advertise.
-    """
-    from repro.core.engine import run_caffeine
-    from repro.core.problem import Problem
-    from repro.core.session import Session
-
-    settings = WORKLOAD_SETTINGS.copy(n_generations=5)
-
-    legacy_start = time.perf_counter()
-    legacy = run_caffeine(train, settings=settings)
-    legacy_seconds = time.perf_counter() - legacy_start
-
-    session_start = time.perf_counter()
-    session = Session([Problem(train=train)], settings=settings).run().single()
-    session_seconds = time.perf_counter() - session_start
-
-    def front(result):
-        return [(m.train_error, m.complexity, m.expression())
-                for m in result.tradeoff]
-
-    equal = front(legacy) == front(session)
-    report = {
-        "workload": "figure3-PM, 5 generations, fixed seed",
-        "legacy_run_caffeine_seconds": round(legacy_seconds, 4),
-        "session_seconds": round(session_seconds, 4),
-        "n_models": legacy.n_models,
     }
     return report, equal
 
@@ -457,12 +421,11 @@ def _measure_serving(train, tmp_path):
     import numpy as np
 
     from repro.core.artifact import load_front, save_front
-    from repro.core.engine import run_caffeine
     from repro.core.report import rescore_models
     from repro.serve import RequestProfiler, make_server
 
-    result = run_caffeine(train,
-                          settings=WORKLOAD_SETTINGS.copy(n_generations=5))
+    result = CaffeineEngine(
+        train, settings=WORKLOAD_SETTINGS.copy(n_generations=5)).run()
     path = os.path.join(tmp_path, "bench-front.caffeine")
     save_start = time.perf_counter()
     n_models = save_front(result, path)
@@ -605,7 +568,6 @@ def test_population_evaluation_throughput(benchmark, bench_datasets,
     selection_variation_report = _measure_selection_variation(train)
     golden_report, golden_equal = _measure_golden_fronts()
     sort_report = _measure_sort(population_batches[-1])
-    session_report, session_equal = _measure_session_api(train)
     serving_report, artifact_equal = _measure_serving(train, str(tmp_path))
     concurrent_report, concurrent_ok = _measure_concurrent_store(
         str(tmp_path))
@@ -615,7 +577,6 @@ def test_population_evaluation_throughput(benchmark, bench_datasets,
         "reevaluation_naive_vs_gram": reevaluation_equal,
         "golden_fronts": golden_equal,
         "cold_vs_warm_cache": cache_equal,
-        "legacy_shim_vs_session": session_equal,
         "artifact_roundtrip": artifact_equal,
         "concurrent_store_writers_lose_nothing": concurrent_ok,
     }
@@ -632,7 +593,6 @@ def test_population_evaluation_throughput(benchmark, bench_datasets,
         "selection_variation": selection_variation_report,
         "golden_fronts": golden_report,
         "pareto_sort": sort_report,
-        "session_api": session_report,
         "serving": serving_report,
         "concurrent_store": concurrent_report,
         "equivalence": equivalence,

@@ -20,7 +20,7 @@ import sys
 import pytest
 
 from repro.core.settings import CaffeineSettings
-from repro.experiments.setup import generate_ota_datasets, run_caffeine_for_target
+from repro.experiments.setup import generate_ota_datasets, session_for_targets
 
 #: Output directory for the rendered tables/figures.
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
@@ -65,5 +65,6 @@ def bench_datasets():
 @pytest.fixture(scope="session")
 def bench_results(bench_datasets, bench_settings):
     """One CAFFEINE run per performance goal, shared by all benchmarks."""
-    return {target: run_caffeine_for_target(bench_datasets, target, bench_settings)
-            for target in ALL_TARGETS}
+    outcome = session_for_targets(bench_datasets, ALL_TARGETS,
+                                  bench_settings).run().raise_failures()
+    return dict(outcome.items())

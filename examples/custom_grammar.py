@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import CaffeineSettings, Dataset, run_caffeine
+from repro import CaffeineEngine, CaffeineSettings, Dataset
 from repro.core import (
     FunctionSet,
     default_function_set,
@@ -50,7 +50,7 @@ def run_with(name: str, function_set: FunctionSet, train: Dataset,
         random_seed=11,
         function_set=function_set,
     )
-    result = run_caffeine(train, test, settings)
+    result = CaffeineEngine(train, test, settings).run()
     best = result.best_model()
     print(f"{name:>28}: train {best.train_error_percent:5.2f}%  "
           f"test {best.test_error_percent:5.2f}%   y ~ {best.expression()[:70]}")

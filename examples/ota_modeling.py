@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import sys
 
-from repro.core import CaffeineSettings
+from repro.core import CaffeineEngine, CaffeineSettings
 from repro.core.report import models_table, tradeoff_table
-from repro.experiments import generate_ota_datasets, run_caffeine_for_target
+from repro.experiments import generate_ota_datasets
 
 
 def main(target: str = "PM") -> None:
@@ -42,7 +42,8 @@ def main(target: str = "PM") -> None:
     print(f"\nRunning CAFFEINE on {target} "
           f"(population {settings.population_size}, "
           f"{settings.n_generations} generations)...")
-    result = run_caffeine_for_target(datasets, target, settings)
+    train, test = datasets.for_target(target)
+    result = CaffeineEngine(train, test, settings).run()
     print(f"done in {result.runtime_seconds:.1f} s; "
           f"{result.n_models} models in the trade-off\n")
 

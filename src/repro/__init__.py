@@ -35,7 +35,7 @@ Quick start -- the sklearn-style facade fits any numeric dataset:
 
 Multi-run orchestration -- a :class:`Session` runs a list of
 :class:`Problem`\\ s (serially, or on a process pool with ``jobs=n``) over
-one shared column cache:
+one shared column cache; it is the only way runs share one:
 
     >>> from repro import CaffeineSettings, Problem, Session
     >>> problems = [Problem.from_arrays(X, y, target_name="t1"),
@@ -84,12 +84,12 @@ returned.  The fault-injection harness behind those guarantees lives in
 ``CaffeineSettings.fault_injection``); see ``benchmarks/README.md`` for
 the checkpoint/resume semantics and failure knobs.
 
-The legacy one-call entry point :func:`run_caffeine` remains supported as
-a bit-for-bit shim over the Session path; see the migration table in
-``benchmarks/README.md``.  Each layer of the engine (column evaluation,
-linear fits, residual scoring, Pareto ranking, variation) has exactly one
-implementation; fixed-seed fronts are pinned by the golden fingerprints
-in ``tests/golden``.
+One run without a session is ``CaffeineEngine(train, test,
+settings).run()`` (see the migration table in ``benchmarks/README.md``).
+Each layer of the engine (column evaluation, linear fits, residual
+scoring, Pareto ranking, variation) has exactly one implementation,
+behind caches whose budgets derive from the run size; fixed-seed fronts
+are pinned by the golden fingerprints in ``tests/golden``.
 
 The invariants behind these guarantees (bit-identical reductions,
 errstate discipline, crash-safe stores, seeded randomness) are
@@ -131,7 +131,6 @@ from repro.core import (
     default_function_set,
     polynomial_function_set,
     rational_function_set,
-    run_caffeine,
 )
 from repro.data import Dataset
 from repro.estimator import SymbolicRegressor
@@ -149,8 +148,7 @@ __all__ = [
     "ProgressPrinter",
     "InjectedFault",
     "SymbolicRegressor",
-    # engine layer (run_caffeine is the legacy shim)
-    "run_caffeine",
+    # engine layer
     "CaffeineEngine",
     "CaffeineResult",
     "CaffeineSettings",

@@ -264,12 +264,12 @@ def _save_front_directory(results: Mapping, directory) -> None:
         _save_front_file(result, base / f"{target}.front")
 
 
-def _run_csv_command(args: argparse.Namespace) -> int:
+def _run_csv_command(args: argparse.Namespace,
+                     settings: CaffeineSettings) -> int:
     problem = Problem.from_csv(args.csv, target=args.target,
                                test_path=args.test,
                                feature_columns=args.features,
                                log10_target=args.log10_target)
-    settings = settings_from_args(args)
     print(f"Problem {problem.name!r}: {problem.train.n_samples} train"
           + (f" / {problem.test.n_samples} test" if problem.test else "")
           + f" samples, {problem.n_variables} variables")
@@ -317,18 +317,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.analysis.cli import main as lint_main
 
         return lint_main(argv[1:])
-    args = build_parser().parse_args(argv)
-    if args.command in ("run", "freeze"):
-        return _run_csv_command(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "serve":
         return _serve_command(args)
+    settings = None
+    if args.command != "datasets":
+        # Invalid budgets fail here, before any data is generated.
+        try:
+            settings = settings_from_args(args)
+        except ValueError as error:
+            parser.error(str(error))
+    if args.command in ("run", "freeze"):
+        return _run_csv_command(args, settings)
 
     datasets = generate_ota_datasets(n_runs=args.runs)
     print(datasets.summary())
     if args.command == "datasets":
         return 0
 
-    settings = settings_from_args(args)
     jobs = getattr(args, "jobs", 1)  # table2 has no --jobs (single run)
     print(f"\nCAFFEINE settings: population {settings.population_size}, "
           f"{settings.n_generations} generations, seed {settings.random_seed}"

@@ -11,13 +11,13 @@ The public surface of the core package:
   partial results with structured
   :class:`~repro.core.session.ProblemFailure` records);
 * :class:`~repro.core.engine.CaffeineEngine` -- one run's evolutionary
-  loop (:func:`~repro.core.engine.run_caffeine` is the legacy one-call
-  shim over a one-problem session);
+  loop (``CaffeineEngine(train, test, settings).run()``);
 * :class:`~repro.core.settings.CaffeineSettings` -- all tunables (paper
   settings available via ``CaffeineSettings.paper_settings()``);
 * :mod:`repro.core.evaluation` -- population evaluation: one path per
   layer (compiled column tapes, gram-pool fits, batched residual scoring)
-  behind size-adaptive caches that never change a result;
+  behind caches whose budgets derive from the run size and never change a
+  result;
 * :class:`~repro.core.model.SymbolicModel` / :class:`~repro.core.model.TradeoffSet`
   -- the resulting error-vs-complexity trade-off of interpretable models;
 * :mod:`repro.core.artifact` -- deployment: freeze a finished trade-off as
@@ -63,7 +63,6 @@ from repro.core.engine import (
     CaffeineEngine,
     CaffeineResult,
     GenerationStats,
-    run_caffeine,
 )
 from repro.core.expression import (
     BinaryOpTerm,
@@ -102,7 +101,6 @@ from repro.core.model import SymbolicModel, TradeoffSet
 from repro.core.operators import VariationOperators
 from repro.core.problem import Problem
 from repro.core.session import (
-    LegacyProgressCallback,
     ProblemFailure,
     ProgressPrinter,
     Session,
@@ -115,7 +113,6 @@ from repro.core.variable_combo import VariableCombo
 from repro.core.weights import Weight
 
 __all__ = [
-    "run_caffeine",
     "CaffeineEngine",
     "CaffeineResult",
     "GenerationStats",
@@ -126,7 +123,6 @@ __all__ = [
     "SessionResult",
     "ProblemFailure",
     "ProgressPrinter",
-    "LegacyProgressCallback",
     "InjectedFault",
     "FileLock",
     "SymbolicModel",

@@ -268,10 +268,17 @@ class FrozenFront:
         train error for ``by="train"``, ties broken toward lower
         complexity.  ``complexity_max`` first restricts the candidates to
         models within the bound (the designer's "simplest model I can
-        afford" query).
+        afford" query).  ``model_index`` must be an integer: a ``bool``,
+        ``float`` or ``str`` raises ``ValueError`` rather than being
+        truncated or parsed.
         """
         if model_index is not None:
-            if not 0 <= int(model_index) < len(self.models):
+            if isinstance(model_index, bool) \
+                    or not isinstance(model_index, (int, np.integer)):
+                raise ValueError(
+                    f"model_index must be an integer, got "
+                    f"{type(model_index).__name__} {model_index!r}")
+            if not 0 <= model_index < len(self.models):
                 raise ValueError(
                     f"model_index {model_index} out of range "
                     f"[0, {len(self.models)})")

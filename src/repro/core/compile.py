@@ -518,8 +518,8 @@ class TreeCompiler:
         self.X = np.asarray(X, dtype=float)
         if self.X.ndim != 2:
             raise ValueError("X must be 2-D (n_samples, n_variables)")
-        if max_kernels < 0:
-            raise ValueError("max_kernels must be non-negative")
+        if max_kernels < 1:
+            raise ValueError("max_kernels must be at least 1")
         self.max_kernels = int(max_kernels)
         self.n_samples = self.X.shape[0]
         #: compilation / reuse accounting (benchmarks read these)
@@ -603,8 +603,6 @@ class TreeCompiler:
         paid -- this entry point reuses it instead of re-walking the tree.
         """
         self.n_kernel_requests += 1
-        if self.max_kernels == 0:
-            return self.compile(basis)(params)
         with self._lock:
             kernel = self._kernels.get(skeleton)
             if kernel is not None:

@@ -37,7 +37,8 @@ exact :class:`~repro.regression.least_squares.LinearFit` a direct
 normal equations from the canonical
 :func:`~repro.regression.least_squares.pair_dots` recipe) -- so cached and
 uncached evaluation are bit-for-bit identical: a fixed seed produces the
-same trade-off set regardless of the cache budgets.  The tests pin each
+same trade-off set regardless of the cache budgets (which are not settings:
+:func:`cache_budgets` derives them from the run size).  The tests pin each
 class against its plain reference function (``evaluate_basis_column``,
 ``fit_linear``, ``relative_rmse``) and the golden-front fingerprints in
 ``tests/golden`` pin whole runs.
@@ -46,8 +47,8 @@ Column-cache keys carry a :func:`dataset_fingerprint` prefix, so one
 :class:`BasisColumnCache` can safely be shared by evaluators bound to
 different targets: the six OTA performances of the paper's experiments all
 evaluate on the *same* ``X``, and a shared cache makes the column side of a
-multi-target experiment driver roughly six times cheaper (see
-``repro.experiments.setup.run_caffeine_for_target``).
+multi-target sweep roughly six times cheaper (see
+:class:`~repro.core.session.Session`).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,6 +92,8 @@ __all__ = [
     "CompiledColumnBackend",
     "GramFitBackend",
     "BatchedResidualBackend",
+    "CacheBudgets",
+    "cache_budgets",
     "dataset_fingerprint",
     "evaluate_individual_inplace",
 ]
@@ -128,6 +131,35 @@ def function_set_fingerprint(function_set) -> Tuple:
     return function_set.fingerprint()
 
 
+class CacheBudgets(NamedTuple):
+    """LRU capacities of one evaluator's caches (see :func:`cache_budgets`)."""
+
+    #: basis columns, and separately whole-individual fits
+    columns: int
+    #: pairwise column dot products in the :class:`GramPool`
+    gram_pairs: int
+    #: compiled tapes in the :class:`~repro.core.compile.TreeCompiler`
+    kernels: int
+
+
+def cache_budgets(settings: CaffeineSettings) -> CacheBudgets:
+    """The cache budgets of a run, derived from its size.
+
+    Each budget holds a few generations of the working set at
+    ``population_size`` -- offspring reuse parental basis functions
+    heavily, so that headroom is what turns churn into hits -- with a floor
+    sized for the paper-scale population of 100-200.  A width-``k``
+    individual touches ``k`` columns and ``k(k+1)/2`` gram pairs.  Budgets
+    only trade memory for wall-clock time; results never depend on them.
+    """
+    population = settings.population_size
+    k = settings.max_basis_functions
+    return CacheBudgets(columns=max(20000, 4 * population * k),
+                        gram_pairs=max(200000,
+                                       3 * population * (k * (k + 1) // 2)),
+                        kernels=max(4096, 8 * population))
+
+
 @dataclasses.dataclass
 class CacheStats:
     """Hit/miss counters of a :class:`BasisColumnCache`."""
@@ -157,14 +189,11 @@ class BasisColumnCache:
     of :class:`~repro.core.expression.ProductTerm` trees; values are the
     evaluated (and magnitude-clipped) columns.  Stored arrays are treated as
     immutable -- callers must not write into a returned column.
-
-    ``max_entries == 0`` disables the cache (every lookup misses, nothing is
-    stored), which keeps the calling code branch-free.
     """
 
     def __init__(self, max_entries: int = 20000) -> None:
-        if max_entries < 0:
-            raise ValueError("max_entries must be non-negative")
+        if max_entries < 1:
+            raise ValueError("max_entries must be at least 1")
         self.max_entries = int(max_entries)
         self.stats = CacheStats()
         self._columns: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
@@ -195,8 +224,6 @@ class BasisColumnCache:
 
     def put(self, key: Tuple, column: np.ndarray) -> None:
         """Insert a column, evicting least-recently-used entries as needed."""
-        if self.max_entries == 0:
-            return
         if key in self._columns:
             self._columns.move_to_end(key)
             return
@@ -459,9 +486,8 @@ class CompiledColumnBackend:
     """
 
     def __init__(self, X: np.ndarray, settings: CaffeineSettings) -> None:
-        # The kernel budget adapts to population_size.
         self.compiler = TreeCompiler(
-            X, max_kernels=settings.resolved_kernel_cache_size())
+            X, max_kernels=cache_budgets(settings).kernels)
 
     def basis_key(self, basis: ProductTerm) -> Tuple:
         # Memoized on the root node: offspring share untouched basis trees
@@ -545,11 +571,10 @@ class PopulationEvaluator:
         if self.X.shape[0] != self.y.shape[0]:
             raise ValueError("X and y disagree on the number of samples")
         self.settings = settings if settings is not None else CaffeineSettings()
-        # The default budget adapts to population_size (see
-        # CaffeineSettings.resolved_basis_cache_size); explicit sizes and
-        # externally shared caches are honored exactly.
+        # A cache passed in (shared by a Session) is honored exactly; its
+        # capacity also bounds the fit and complexity caches.
         self.cache = cache if cache is not None \
-            else BasisColumnCache(self.settings.resolved_basis_cache_size())
+            else BasisColumnCache(cache_budgets(self.settings).columns)
         self.normalization = error_normalization(self.y)
         #: miss-path column computation through fused tapes; the backend
         #: also owns the basis-key recipe, so its keys and its evaluations
@@ -586,13 +611,12 @@ class PopulationEvaluator:
         #: keys prefilled by the current batch; their first assembly lookup is
         #: accounted as a computation, not a cache hit (see _column_for)
         self._fresh_keys: set = set()
-        #: batch-local precomputed gram fits keyed by basis-key tuple (or
-        #: individual id when the fit cache is off); filled by
-        #: :meth:`GramFitBackend.prepare_batch`
+        #: batch-local precomputed gram fits keyed by basis-key tuple;
+        #: filled by :meth:`GramFitBackend.prepare_batch`
         self._batch_fit_results: Dict = {}
         #: batch-local overlay of prefilled columns, consulted before the LRU
-        #: so that a cache smaller than one batch (or a disabled cache) never
-        #: forces recomputation within the batch that just computed a column
+        #: so that a cache smaller than one batch never forces recomputation
+        #: within the batch that just computed a column
         self._batch_columns: Dict[Tuple, np.ndarray] = {}
         #: per-basis complexity by structural key (complexity is additive
         #: over bases and fully determined by the key + settings, so the sum
@@ -655,11 +679,9 @@ class PopulationEvaluator:
 
         Structural keys are computed exactly once per basis per call and
         threaded through every stage; hashing the trees is otherwise the
-        single largest cost of a fully cached evaluation.
-
-        With ``basis_cache_size=0`` nothing persists across calls, but the
-        unique columns of *this* batch are still computed once via a
-        batch-local overlay.
+        single largest cost of a fully cached evaluation.  However small
+        the column cache, the unique columns of *this* batch are computed
+        once via a batch-local overlay.
         """
         # Recovery-test hook: a batch whose fit machinery blows up
         # (singular solve, backend bug, OOM) must surface as a structured
@@ -667,11 +689,8 @@ class PopulationEvaluator:
         faults.raise_point("fit.exception", n=len(individuals))
         keyed = [(individual, [self._basis_key(b) for b in individual.bases])
                  for individual in individuals]
-        if self.cache.max_entries > 0:
-            pending = [(individual, keys) for individual, keys in keyed
-                       if tuple(keys) not in self._fit_cache]
-        else:
-            pending = keyed
+        pending = [(individual, keys) for individual, keys in keyed
+                   if tuple(keys) not in self._fit_cache]
         try:
             self._prefill_columns(pending)
             if pending:
@@ -686,8 +705,7 @@ class PopulationEvaluator:
         finally:
             # Clear even on a mid-batch exception: leftover fresh keys would
             # corrupt the hit-rate accounting of the next batch, and leftover
-            # overlay columns would outlive the 'nothing persists across
-            # calls' guarantee of a disabled cache.
+            # overlay columns would outlive the cache's own budget.
             self._fresh_keys.clear()
             self._batch_columns.clear()
             self._batch_fit_results.clear()
@@ -739,10 +757,9 @@ class PopulationEvaluator:
                 term = basis_function_complexity(
                     basis, self.settings.basis_function_cost,
                     self.settings.vc_exponent_cost)
-                if self.cache.max_entries > 0:
-                    if len(self._complexity_cache) >= self.cache.max_entries:
-                        self._complexity_cache.clear()
-                    self._complexity_cache[key] = term
+                if len(self._complexity_cache) >= self.cache.max_entries:
+                    self._complexity_cache.clear()
+                self._complexity_cache[key] = term
             total.append(term)
         return float(sum(total))
 
@@ -750,30 +767,28 @@ class PopulationEvaluator:
                             basis_keys: List[Tuple]) -> Individual:
         # Column order determines which coefficient belongs to which basis,
         # so the individual-level key is the ordered tuple of basis keys.
-        fit_key = tuple(basis_keys) if self.cache.max_entries > 0 else None
+        fit_key = tuple(basis_keys)
         self.n_evaluated += 1
         self.n_fit_requests += 1
-        if fit_key is not None:
-            cached = self._fit_cache.get(fit_key)
-            if cached is not None:
-                self._fit_cache.move_to_end(fit_key)
-                fit, error, complexity = cached
-                # LinearFit is frozen and treated as immutable, so sharing
-                # one instance across structurally identical individuals is
-                # safe -- exactly what SymbolicModel.from_individual already
-                # does between an individual and its frozen model.
-                individual.fit = fit
-                individual.error = error
-                individual.complexity = complexity
-                individual.normalization = self.normalization
-                return individual
+        cached = self._fit_cache.get(fit_key)
+        if cached is not None:
+            self._fit_cache.move_to_end(fit_key)
+            fit, error, complexity = cached
+            # LinearFit is frozen and treated as immutable, so sharing one
+            # instance across structurally identical individuals is safe --
+            # exactly what SymbolicModel.from_individual already does
+            # between an individual and its frozen model.
+            individual.fit = fit
+            individual.error = error
+            individual.complexity = complexity
+            individual.normalization = self.normalization
+            return individual
         self.n_fits_computed += 1
         self._fit_backend.evaluate(individual, basis_keys)
-        if fit_key is not None:
-            self._fit_cache[fit_key] = (individual.fit, individual.error,
-                                        individual.complexity)
-            while len(self._fit_cache) > self.cache.max_entries:
-                self._fit_cache.popitem(last=False)
+        self._fit_cache[fit_key] = (individual.fit, individual.error,
+                                    individual.complexity)
+        while len(self._fit_cache) > self.cache.max_entries:
+            self._fit_cache.popitem(last=False)
         return individual
 
     # ------------------------------------------------------------------
@@ -781,9 +796,9 @@ class PopulationEvaluator:
                          ) -> None:
         """Compute every column the given individuals will need, once.
 
-        Results land in the batch-local overlay (always) and the LRU (when
-        enabled), so assembly never recomputes a column this batch produced --
-        even when the LRU is smaller than the batch or disabled entirely.
+        Results land in the batch-local overlay and the LRU, so assembly
+        never recomputes a column this batch produced -- even when the LRU
+        is smaller than the batch.
         """
         missing: "OrderedDict[Tuple, ProductTerm]" = OrderedDict()
         for individual, keys in keyed:
@@ -821,11 +836,9 @@ class GramFitBackend:
 
     def __init__(self, evaluator: PopulationEvaluator) -> None:
         self.evaluator = evaluator
-        #: the cross-generation scalar pool (``evaluator.gram_pool``); the
-        #: default budget adapts to population_size so large-population runs
-        #: do not evict a generation's pairs before the next can reuse them
+        #: the cross-generation scalar pool (``evaluator.gram_pool``)
         self.pool = GramPool(evaluator.y,
-                             evaluator.settings.resolved_gram_pool_size())
+                             cache_budgets(evaluator.settings).gram_pairs)
         self._y_sum = float(evaluator.y.sum())
         self._y_finite = bool(np.isfinite(evaluator.y).all())
 
@@ -833,9 +846,7 @@ class GramFitBackend:
     def evaluate(self, individual: Individual,
                  basis_keys: List[Tuple]) -> None:
         ev = self.evaluator
-        batch_key = tuple(basis_keys) if ev.cache.max_entries > 0 \
-            else id(individual)
-        precomputed = ev._batch_fit_results.get(batch_key)
+        precomputed = ev._batch_fit_results.get(tuple(basis_keys))
         if precomputed is not None:
             # Sharing one frozen LinearFit across structurally identical
             # individuals mirrors what the fit cache already does.
@@ -907,8 +918,7 @@ class GramFitBackend:
         queued = set()
         prepared_columns = []
         for individual, keys in pending:
-            batch_key = tuple(keys) if ev.cache.max_entries > 0 \
-                else id(individual)
+            batch_key = tuple(keys)
             if batch_key in queued or not keys:
                 # Duplicates share the first occurrence's fit; empty
                 # individuals take the (cheap) scalar intercept-only path.

@@ -7,8 +7,8 @@ performances that all evaluate basis functions on the same ``X``.  A
 run serially or on worker processes, sharing one fingerprinted column cache
 (in memory when serial, through a lock-protected
 :class:`~repro.core.cache_store.ColumnCacheStore` file when parallel or
-persistent), with a structured callback API replacing the ad-hoc
-``progress`` callable of :func:`~repro.core.engine.run_caffeine`::
+persistent), with a structured callback API.  A Session is the only way
+runs share a column cache::
 
     from repro import Problem, Session
 
@@ -22,10 +22,10 @@ persistent), with a structured callback API replacing the ad-hoc
 
 Guarantees (same discipline as the engine's other fast paths):
 
-* the Session path is **bit-for-bit identical** to looping
-  ``run_caffeine`` by hand -- each problem runs its own engine under its
-  own (or the session's) settings and seed, and caches never change
-  results, only wall-clock time;
+* the Session path is **bit-for-bit identical** to running each problem
+  through its own :class:`~repro.core.engine.CaffeineEngine` -- each
+  problem runs under its own (or the session's) settings and seed, and
+  caches never change results, only wall-clock time;
 * ``jobs > 1`` is bit-for-bit identical to serial: runs are independent,
   so worker scheduling cannot reorder any run's random stream;
 * concurrent workers saving the shared cache file merge under an advisory
@@ -54,7 +54,7 @@ survive by default):
   running problem's last boundary checkpoint, stops the sweep, and returns
   a partial :class:`SessionResult` (``interrupted=True``) instead of
   discarding hours of completed work (with ``failure_policy="raise"`` it
-  propagates, preserving the legacy shim's semantics).
+  propagates).
 """
 
 from __future__ import annotations
@@ -77,12 +77,12 @@ from typing import (
 from repro.core import faults
 from repro.core.cache_store import ColumnCacheStore, RunCheckpointStore
 from repro.core.engine import CaffeineEngine, CaffeineResult, GenerationStats
-from repro.core.evaluation import BasisColumnCache
+from repro.core.evaluation import BasisColumnCache, cache_budgets
 from repro.core.problem import Problem
 from repro.core.settings import CaffeineSettings
 
 __all__ = ["Session", "SessionCallback", "SessionResult", "ProblemFailure",
-           "ProgressPrinter", "LegacyProgressCallback"]
+           "ProgressPrinter"]
 
 
 class SessionCallback:
@@ -162,19 +162,6 @@ class ProgressPrinter(SessionCallback):
                          failure: "ProblemFailure") -> None:
         self.printer(f"[{problem.name}] FAILED after {failure.attempts} "
                      f"attempt(s): {failure.phase}: {failure.message}")
-
-
-class LegacyProgressCallback(SessionCallback):
-    """Adapter: the old ``progress(generation, stats)`` callable as a
-    callback (what the :func:`~repro.core.engine.run_caffeine` shim uses)."""
-
-    def __init__(self, progress: Callable[[int, GenerationStats], None]
-                 ) -> None:
-        self.progress = progress
-
-    def on_generation(self, problem: Problem, generation: int,
-                      stats: GenerationStats) -> None:
-        self.progress(generation, stats)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -319,15 +306,11 @@ class Session:
         Shared :class:`CaffeineSettings` for problems without their own.
     jobs:
         1 (default) runs serially on this process with one shared
-        in-memory column cache; ``n > 1`` runs up to ``n`` problems
-        concurrently, each in its own worker process, sharing columns
-        through ``column_cache_path`` (if given).  Results are identical
-        either way -- see the module docstring.
-    column_cache:
-        Optional in-memory cache to share (serial only); defaults to a
-        fresh one sized to the largest per-problem ``basis_cache_size``.
-        Problems whose effective settings disable caching
-        (``basis_cache_size=0``) never touch the shared cache.
+        in-memory column cache, sized to the largest per-problem budget
+        (see :func:`~repro.core.evaluation.cache_budgets`); ``n > 1`` runs
+        up to ``n`` problems concurrently, each in its own worker process,
+        sharing columns through ``column_cache_path`` (if given).  Results
+        are identical either way -- see the module docstring.
     column_cache_path:
         Optional :class:`ColumnCacheStore` path: the session warm-starts
         from it and saves back everything it computed.  With ``jobs > 1``
@@ -369,15 +352,13 @@ class Session:
         ``"continue"`` (default): terminal failures become structured
         :class:`ProblemFailure` records in a partial
         :class:`SessionResult` and the sweep keeps going.  ``"raise"``:
-        the first failure propagates as an exception (the legacy
-        :func:`~repro.core.engine.run_caffeine` contract) and a
+        the first failure propagates as an exception and a
         ``KeyboardInterrupt`` propagates instead of returning partials.
     """
 
     def __init__(self, problems: Sequence[Problem] = (),
                  settings: Optional[CaffeineSettings] = None, *,
                  jobs: int = 1,
-                 column_cache: Optional[BasisColumnCache] = None,
                  column_cache_path: Optional[str] = None,
                  callbacks: Sequence[SessionCallback] = (),
                  checkpoint_column_cache: bool = False,
@@ -390,10 +371,6 @@ class Session:
                  failure_policy: str = "continue") -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if column_cache is not None and jobs > 1:
-            raise ValueError(
-                "an in-memory column_cache cannot be shared across "
-                "processes; use column_cache_path with jobs > 1")
         if checkpoint_column_cache and column_cache_path is None:
             raise ValueError(
                 "checkpoint_column_cache=True has nothing to write to; "
@@ -413,7 +390,6 @@ class Session:
         self.problems: List[Problem] = []
         self.settings = settings
         self.jobs = int(jobs)
-        self.column_cache = column_cache
         self.column_cache_path = (str(column_cache_path)
                                   if column_cache_path is not None else None)
         self.callbacks: List[SessionCallback] = list(callbacks)
@@ -496,16 +472,11 @@ class Session:
     def _run_serial(self, resume: bool
                     ) -> Tuple[Dict[str, CaffeineResult],
                                Dict[str, ProblemFailure], bool]:
-        # The shared cache is sized to the largest per-problem request so
-        # no problem's working set is squeezed by a smaller neighbour;
-        # problems that *disable* caching (basis_cache_size=0) opt out of
-        # sharing entirely below (their engines build their own disabled
-        # caches, which also keeps their fit caches off).
-        cache_sizes = [problem.effective_settings(self.settings)
-                       .resolved_basis_cache_size()
-                       for problem in self.problems]
-        cache = (self.column_cache if self.column_cache is not None
-                 else BasisColumnCache(max(cache_sizes)))
+        # The shared cache is sized to the largest per-problem budget so no
+        # problem's working set is squeezed by a smaller neighbour.
+        cache = BasisColumnCache(max(
+            cache_budgets(problem.effective_settings(self.settings)).columns
+            for problem in self.problems))
         store = (ColumnCacheStore(self.column_cache_path)
                  if self.column_cache_path is not None else None)
         checkpoints = self._checkpoint_store()
@@ -525,9 +496,8 @@ class Session:
                 while True:
                     engine = CaffeineEngine(
                         problem.train, test=problem.test, settings=effective,
-                        column_cache=(cache if effective.basis_cache_size > 0
-                                      else None))
-                    if store is not None and effective.basis_cache_size > 0:
+                        column_cache=cache)
+                    if store is not None:
                         # Admit only this problem's namespace into the LRU
                         # (a shared store file only grows; foreign
                         # namespaces would occupy -- and at capacity evict
@@ -838,7 +808,7 @@ def _run_problem_task(problem: Problem, settings: CaffeineSettings,
                       checkpoint_every: int = 1,
                       resume: bool = False) -> CaffeineResult:
     """One worker's whole job: warm-load, run, merge-save (picklable)."""
-    cache = BasisColumnCache(settings.resolved_basis_cache_size())
+    cache = BasisColumnCache(cache_budgets(settings).columns)
     store = (ColumnCacheStore(column_cache_path)
              if column_cache_path is not None else None)
     engine = CaffeineEngine(problem.train, test=problem.test,

@@ -11,13 +11,10 @@ Two constructors are provided: :meth:`CaffeineSettings.paper_settings` with
 the full budgets of the paper (hours of runtime) and the default constructor
 with reduced budgets suitable for laptops and for the benchmark harness.
 
-Beyond the paper's tunables, the cache budgets (``basis_cache_size``,
-``gram_pool_size``, ``kernel_cache_size``, ``adaptive_cache_budgets``)
-configure the population-evaluation subsystem
-(:mod:`repro.core.evaluation`): how many evaluated basis columns, fits,
-normal-equation scalars and compiled kernels it retains.  These knobs trade
-memory for wall-clock time only -- every cache size produces bit-for-bit
-identical models.
+The caches of the population-evaluation subsystem
+(:mod:`repro.core.evaluation`) are not configured here: their budgets are
+derived from the population size (see
+:func:`repro.core.evaluation.cache_budgets`) and never change a result.
 """
 
 from __future__ import annotations
@@ -30,16 +27,10 @@ from repro.core.functions import FunctionSet, default_function_set
 
 __all__ = ["CaffeineSettings"]
 
-#: Fields that can never change a run's evolved models -- cache budgets are
-#: bit-for-bit identical by contract (pinned by the golden-front
-#: fingerprints in ``tests/golden``), and fault injection only decides
-#: *whether* a run completes, not what it computes.
-#: :meth:`CaffeineSettings.fingerprint` excludes them, so a checkpoint
-#: taken under one cache configuration resumes under another.
-_RESULT_NEUTRAL_FIELDS = frozenset({
-    "basis_cache_size", "gram_pool_size", "kernel_cache_size",
-    "adaptive_cache_budgets", "fault_injection",
-})
+#: Fields that can never change a run's evolved models: fault injection
+#: only decides *whether* a run completes, not what it computes.
+#: :meth:`CaffeineSettings.fingerprint` excludes them.
+_RESULT_NEUTRAL_FIELDS = frozenset({"fault_injection"})
 
 
 @dataclasses.dataclass
@@ -101,44 +92,6 @@ class CaffeineSettings:
     #: minimum relative PRESS improvement a basis function must bring to survive
     sag_min_relative_improvement: float = 1e-4
 
-    # -- evaluation subsystem --------------------------------------------------------
-    #: maximum number of entries retained by *each* of the two LRU evaluation
-    #: caches: the basis-column cache (one entry = one evaluated basis
-    #: function on one dataset) and the individual-level fit cache (one entry
-    #: = one fitted basis sequence).  0 disables both caches entirely -- i.e.
-    #: it turns off fit-result reuse as well, not just column memory.  Even
-    #: then, one batch evaluation still computes its duplicate columns only
-    #: once (batch-local sharing).
-    #: Leaving the class default in place makes the budget *size-adaptive*:
-    #: it grows with ``population_size`` via
-    #: :meth:`resolved_basis_cache_size`, so ``population_size >= 1000``
-    #: runs do not churn a budget tuned for population 100.  Any other
-    #: value (including 0) is honored exactly; to pin a hard cap that
-    #: happens to equal the default, set ``adaptive_cache_budgets=False``.
-    basis_cache_size: int = 20000
-    #: maximum number of pairwise column dot products retained by the gram
-    #: pool (each entry is one float; column-level stats are bounded by the
-    #: same number).  0 keeps nothing across batches: every fit computes
-    #: its dot products afresh (same values, more work).  Like
-    #: ``basis_cache_size``, the class default is a size-adaptive floor
-    #: (see :meth:`resolved_gram_pool_size`); explicit values are honored.
-    gram_pool_size: int = 200000
-    #: maximum number of compiled tapes the column evaluator
-    #: (:class:`~repro.core.compile.TreeCompiler`) retains, keyed by
-    #: weight-free tree skeleton.  The class default is a size-adaptive floor (:meth:`resolved_kernel_cache_size`) so large
-    #: populations do not thrash the kernel LRU; explicit values are
-    #: honored, and 0 compiles fresh on every miss.
-    kernel_cache_size: int = 4096
-    #: when True (default), a cache budget left at its class default
-    #: (``basis_cache_size``/``gram_pool_size``/``kernel_cache_size``) is
-    #: treated as an adaptive *floor* that grows with ``population_size``
-    #: (see the ``resolved_*`` accessors).  A dataclass cannot tell an
-    #: untouched default from the same number typed deliberately, so this
-    #: flag is the explicit escape hatch: set it to False to pin every
-    #: budget to exactly its configured value, including values that equal
-    #: the defaults.
-    adaptive_cache_budgets: bool = True
-
     # -- fault injection (testing/CI only) ---------------------------------------
     #: optional :mod:`repro.core.faults` spec string (same syntax as the
     #: ``REPRO_FAULTS`` environment variable) armed when an engine is built
@@ -185,12 +138,6 @@ class CaffeineSettings:
             raise ValueError("complexity constants must be non-negative")
         if self.sag_min_relative_improvement < 0:
             raise ValueError("sag_min_relative_improvement must be non-negative")
-        if self.basis_cache_size < 0:
-            raise ValueError("basis_cache_size must be non-negative")
-        if self.gram_pool_size < 0:
-            raise ValueError("gram_pool_size must be non-negative")
-        if self.kernel_cache_size < 0:
-            raise ValueError("kernel_cache_size must be non-negative")
         if self.fault_injection is not None:
             from repro.core import faults
 
@@ -201,69 +148,15 @@ class CaffeineSettings:
                     f"fault_injection does not parse: {error}") from None
 
     # ------------------------------------------------------------------
-    # size-adaptive cache budgets
-    #
-    # The class defaults of the three LRU budgets below were tuned for the
-    # paper-scale population of 100-200.  At population >= 1000 every
-    # generation produces ~10x the unique columns, fits, skeletons and gram
-    # pairs, and a fixed budget turns into pure churn: entries are evicted
-    # before the next generation can reuse them (the profiling cliff the
-    # ROADMAP predicted).  Each ``resolved_*`` accessor therefore treats a
-    # budget *equal to its class default* as an adaptive floor that scales
-    # with ``population_size`` (and the per-individual term counts); any
-    # other value -- including 0 -- is returned verbatim.  A dataclass
-    # cannot distinguish an untouched default from the same number typed
-    # deliberately, so a caller who really wants a hard cap that happens to
-    # equal a default sets ``adaptive_cache_budgets=False`` (which pins
-    # every budget exactly).  Budgets only ever affect wall-clock time,
-    # never results, so the adaptive default is safe.
-    # ------------------------------------------------------------------
-    def resolved_basis_cache_size(self) -> int:
-        """Effective column/fit LRU budget (size-adaptive at the default).
-
-        Scaled to hold roughly four generations of columns at the configured
-        population size (offspring reuse parental basis functions heavily,
-        so a few generations of headroom is what converts churn into hits).
-        """
-        if not self.adaptive_cache_budgets \
-                or self.basis_cache_size != type(self).basis_cache_size:
-            return self.basis_cache_size
-        per_generation = self.population_size * self.max_basis_functions
-        return max(self.basis_cache_size, 4 * per_generation)
-
-    def resolved_gram_pool_size(self) -> int:
-        """Effective gram-pool pair budget (size-adaptive at the default).
-
-        A width-``k`` individual touches ``k*(k+1)/2`` pairs; the pool must
-        hold a few generations' worth or cross-generation gathers miss.
-        """
-        if not self.adaptive_cache_budgets \
-                or self.gram_pool_size != type(self).gram_pool_size:
-            return self.gram_pool_size
-        pairs_per_individual = (self.max_basis_functions
-                                * (self.max_basis_functions + 1)) // 2
-        return max(self.gram_pool_size,
-                   3 * self.population_size * pairs_per_individual)
-
-    def resolved_kernel_cache_size(self) -> int:
-        """Effective compiled-kernel LRU budget (size-adaptive at the default)."""
-        if not self.adaptive_cache_budgets \
-                or self.kernel_cache_size != type(self).kernel_cache_size:
-            return self.kernel_cache_size
-        return max(self.kernel_cache_size, 8 * self.population_size)
-
-    # ------------------------------------------------------------------
     def fingerprint(self) -> str:
         """Hex digest over every *result-affecting* field.
 
         Two settings objects with equal fingerprints are guaranteed to
-        evolve bit-identical models from the same data and seed; fields
-        that only trade wall-clock for memory (cache budgets -- see
-        ``_RESULT_NEUTRAL_FIELDS``) are excluded.
+        evolve bit-identical models from the same data and seed; the
+        ``_RESULT_NEUTRAL_FIELDS`` (fault injection) are excluded.
         :class:`~repro.core.cache_store.RunCheckpointStore` snapshots carry
         this digest so a checkpoint refuses to resume under settings that
-        would silently diverge from the interrupted run, while still
-        resuming freely under a different cache configuration.
+        would silently diverge from the interrupted run.
         """
         parts = []
         for field in sorted(f.name for f in dataclasses.fields(self)):

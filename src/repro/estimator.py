@@ -25,8 +25,9 @@ given, "train" otherwise).
 
 Internally ``fit`` is one :class:`~repro.core.problem.Problem` run through
 a one-problem :class:`~repro.core.session.Session` -- bit-for-bit the same
-models as :func:`~repro.core.engine.run_caffeine` with the same settings
-(asserted by the test suite).
+models as :meth:`CaffeineEngine(train, test, settings).run()
+<repro.core.engine.CaffeineEngine.run>` with the same settings (asserted by
+the test suite).
 """
 
 from __future__ import annotations

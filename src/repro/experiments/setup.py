@@ -9,15 +9,14 @@ performances are modeled: ``ALF``, ``fu`` (log10-scaled for fitting), ``PM``,
 ``voffset``, ``SRp`` and ``SRn``.
 
 :func:`generate_ota_datasets` reproduces that data-generation flow on the
-analytic OTA substrate; :func:`run_caffeine_for_target` wraps a CAFFEINE run
-for one performance, applying the same scaling conventions as the paper.
+analytic OTA substrate, applying the same scaling conventions as the paper;
+:func:`session_for_targets` runs CAFFEINE over the selected performances.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.circuits.ota import (
     OTA_NOMINAL_POINT,
@@ -26,18 +25,14 @@ from repro.circuits.ota import (
     SymmetricalOta,
     simulate_ota_performances,
 )
-from repro.core.cache_store import ColumnCacheStore
-from repro.core.engine import CaffeineResult, run_caffeine
-from repro.core.evaluation import BasisColumnCache
 from repro.core.problem import Problem
 from repro.core.session import Session, SessionCallback
 from repro.core.settings import CaffeineSettings
 from repro.data.dataset import Dataset, train_test_from_doe
 from repro.doe.sampling import DoePlan
 
-__all__ = ["OtaDatasets", "generate_ota_datasets", "run_caffeine_for_target",
+__all__ = ["OtaDatasets", "generate_ota_datasets",
            "problems_for_targets", "session_for_targets",
-           "shared_column_cache", "persistent_shared_cache",
            "DEFAULT_TRAIN_DX", "DEFAULT_TEST_DX", "DEFAULT_N_RUNS"]
 
 #: Paper values: training DOE step, testing DOE step, number of DOE runs.
@@ -126,46 +121,6 @@ def generate_ota_datasets(train_dx: float = DEFAULT_TRAIN_DX,
     )
 
 
-def shared_column_cache(settings: Optional[CaffeineSettings] = None
-                        ) -> BasisColumnCache:
-    """A basis-column cache sized for sharing across multi-target drivers.
-
-    The six OTA performances evaluate their basis functions on the *same*
-    training ``X`` (only ``y`` differs), and column-cache keys carry a
-    dataset fingerprint -- so one cache handed to every
-    :func:`run_caffeine_for_target` call lets later targets reuse the
-    columns earlier targets already evaluated, making the column side of a
-    six-target sweep roughly six times cheaper.  Targets whose cleaned
-    datasets end up with different ``X`` (e.g. rows dropped for one
-    performance only) are isolated automatically by the fingerprint.
-    """
-    settings = settings if settings is not None else CaffeineSettings()
-    return BasisColumnCache(settings.resolved_basis_cache_size())
-
-
-@contextlib.contextmanager
-def persistent_shared_cache(settings: Optional[CaffeineSettings] = None,
-                            column_cache_path: Optional[str] = None
-                            ) -> Iterator[BasisColumnCache]:
-    """A shared column cache, optionally warm-started from / saved to disk.
-
-    The multi-target experiment drivers run their whole sweep inside this
-    context: with a ``column_cache_path`` the cache is pre-loaded from the
-    store before the first run (a missing or damaged file degrades to a
-    cold start) and written back -- now containing every column the sweep
-    computed -- when the sweep finishes without raising.  With no path this
-    is exactly :func:`shared_column_cache`.
-    """
-    cache = shared_column_cache(settings)
-    store = (ColumnCacheStore(column_cache_path)
-             if column_cache_path is not None else None)
-    if store is not None:
-        store.load_into(cache)
-    yield cache
-    if store is not None:
-        store.save(cache)
-
-
 def problems_for_targets(datasets: OtaDatasets,
                          targets: Optional[Sequence[str]] = None
                          ) -> Tuple[Problem, ...]:
@@ -225,25 +180,3 @@ def session_for_targets(datasets: OtaDatasets,
                    checkpoint_every=checkpoint_every,
                    timeout=timeout, retries=retries)
 
-
-def run_caffeine_for_target(datasets: OtaDatasets, target: str,
-                            settings: Optional[CaffeineSettings] = None,
-                            column_cache: Optional[BasisColumnCache] = None,
-                            column_cache_path: Optional[str] = None
-                            ) -> CaffeineResult:
-    """Run CAFFEINE for one OTA performance with the paper's conventions.
-
-    .. deprecated:: 1.1
-        A compatibility shim over the Problem/Session API (bit-for-bit
-        identical; see :func:`problems_for_targets` /
-        :func:`session_for_targets` for the preferred multi-run form).
-
-    ``column_cache`` (see :func:`shared_column_cache`) may be shared across
-    the six performances, and ``column_cache_path`` persists columns across
-    processes (see :func:`repro.core.engine.run_caffeine`); neither changes
-    the models, only the wall-clock time of every run after the first.
-    """
-    train, test = datasets.for_target(target)
-    return run_caffeine(train, test, settings=settings,
-                        column_cache=column_cache,
-                        column_cache_path=column_cache_path)

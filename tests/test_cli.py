@@ -97,6 +97,26 @@ class TestMain:
         import os
         assert os.path.exists(path)  # the sweep persisted its columns
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "toy.csv", "--target", "y", "--population", "3"],
+        ["figure3", "--population", "3"],
+        ["table2", "--generations", "0"],
+    ])
+    def test_invalid_budget_is_a_usage_error(self, capsys, argv):
+        # Rejected right after parsing: no traceback, no CSV read and no
+        # OTA datasets generated first.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error_lines = [line for line in captured.err.splitlines()
+                       if "error:" in line]
+        assert len(error_lines) == 1
+        field = "n_generations" if "--generations" in argv \
+            else "population_size"
+        assert field in error_lines[0]
+
 
 class TestRunCommand:
     def _write_csv(self, path):

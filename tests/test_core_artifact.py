@@ -20,7 +20,7 @@ from repro.core.artifact import (
     load_front,
     save_front,
 )
-from repro.core.engine import run_caffeine
+from repro.core.engine import CaffeineEngine
 from repro.core.problem import Problem
 from repro.core.report import rescore_models
 from repro.core.session import Session
@@ -38,7 +38,7 @@ def _assert_rows_bit_identical(front: FrozenFront, models, X) -> None:
 
 @pytest.fixture(scope="module")
 def result(rational_train, rational_test, fast_settings):
-    return run_caffeine(rational_train, rational_test, fast_settings)
+    return CaffeineEngine(rational_train, rational_test, fast_settings).run()
 
 
 @pytest.fixture()
@@ -153,6 +153,16 @@ class TestSelection:
         assert front.select(model_index=0) is front.models[0]
         with pytest.raises(ValueError, match="out of range"):
             front.select(model_index=front.n_models)
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, "1", True, False])
+    def test_non_integer_model_index_rejected(self, artifact_path, index):
+        front = load_front(artifact_path)
+        with pytest.raises(ValueError, match="must be an integer"):
+            front.select(model_index=index)
+
+    def test_numpy_integer_model_index_accepted(self, artifact_path):
+        front = load_front(artifact_path)
+        assert front.select(model_index=np.int64(0)) is front.models[0]
 
     def test_bad_by_rejected(self, artifact_path):
         front = load_front(artifact_path)

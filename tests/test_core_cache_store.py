@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from repro.core.cache_store import ColumnCacheStore
-from repro.core.engine import run_caffeine
-from repro.core.evaluation import BasisColumnCache, PopulationEvaluator
+from repro.core.evaluation import (BasisColumnCache, PopulationEvaluator,
+                                   cache_budgets)
 from repro.core.generator import ExpressionGenerator
 from repro.core.individual import Individual
+from repro.core.problem import Problem
+from repro.core.session import Session
 from repro.core.settings import CaffeineSettings
 from repro.data.dataset import Dataset
 
@@ -51,7 +53,7 @@ class TestRoundTrip:
         n_saved = store.save(evaluator.cache)
         assert n_saved == len(evaluator.cache) > 0
 
-        reloaded = store.load(max_entries=fast_settings.basis_cache_size)
+        reloaded = store.load(max_entries=cache_budgets(fast_settings).columns)
         original = dict(evaluator.cache.items())
         restored = dict(reloaded.items())
         assert set(original) == set(restored)
@@ -65,7 +67,7 @@ class TestRoundTrip:
         store = ColumnCacheStore(tmp_path / "cols.cache")
         store.save(cold.cache)
 
-        warm_cache = BasisColumnCache(fast_settings.basis_cache_size)
+        warm_cache = BasisColumnCache(cache_budgets(fast_settings).columns)
         assert store.load_into(warm_cache) == len(cold.cache)
         warm = _evaluator(1, fast_settings, cache=warm_cache)
         reference = [ind.clone() for ind in population]
@@ -139,7 +141,7 @@ class TestIsolation:
         other = PopulationEvaluator(
             other_rng.uniform(0.5, 2.0, size=(30, 3)),
             other_rng.normal(size=30), fast_settings,
-            cache=store.load(fast_settings.basis_cache_size))
+            cache=store.load(cache_budgets(fast_settings).columns))
         population = _population(4)
         reference = [ind.clone() for ind in population]
         other.evaluate_population(population)
@@ -233,32 +235,21 @@ class TestRunCaffeineIntegration:
         settings = CaffeineSettings.fast_settings(random_seed=3)
         path = str(tmp_path / "cache" / "cols.cache")
 
-        reference = run_caffeine(train, settings=settings)
-        cold = run_caffeine(train, settings=settings, column_cache_path=path)
+        def run(column_cache_path=None):
+            return Session([Problem(train=train)], settings=settings,
+                           column_cache_path=column_cache_path
+                           ).run().single()
+
+        reference = run()
+        cold = run(path)
         assert os.path.exists(path)
-        warm = run_caffeine(train, settings=settings, column_cache_path=path)
+        warm = run(path)
 
         def errors(result):
             return [(m.train_error, m.complexity) for m in result.tradeoff]
 
         assert errors(cold) == errors(reference)
         assert errors(warm) == errors(reference)
-
-    def test_persistent_shared_cache_context(self, tmp_path):
-        from repro.experiments.setup import persistent_shared_cache
-
-        settings = CaffeineSettings.fast_settings()
-        path = str(tmp_path / "shared.cache")
-        evaluator = _evaluator(8, settings)
-        with persistent_shared_cache(settings, path) as cache:
-            shared = PopulationEvaluator(evaluator.X, evaluator.y, settings,
-                                         cache=cache)
-            shared.evaluate_population(_population(8))
-            n_entries = len(cache)
-        assert n_entries > 0
-        assert os.path.exists(path)
-        with persistent_shared_cache(settings, path) as warm_cache:
-            assert len(warm_cache) == n_entries
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,8 @@ import pytest
 
 from repro.core import faults
 from repro.core.cache_store import FileLock, RunCheckpointStore
-from repro.core.engine import CaffeineEngine, run_caffeine
+from repro.core.engine import CaffeineEngine
+from repro.core.evaluation import BasisColumnCache
 from repro.core.problem import Problem
 from repro.core.session import Session, SessionCallback
 from repro.core.settings import CaffeineSettings
@@ -169,29 +170,14 @@ class TestEngineResume:
         base = CaffeineEngine(train, test=test, settings=SETTINGS)
         tweaked = CaffeineEngine(
             train, test=test,
-            settings=SETTINGS.copy(gram_pool_size=0,
-                                   basis_cache_size=7,
-                                   fault_injection="lock.timeout:times=1"))
-        # Cache budgets never change results, so their checkpoints are
-        # mutually resumable by design.
+            settings=SETTINGS.copy(fault_injection="lock.timeout:times=1"),
+            column_cache=BasisColumnCache(7))
+        # Fault injection and cache sizes never change results, so their
+        # checkpoints are mutually resumable by design.
         assert base.checkpoint_fingerprint() == \
             tweaked.checkpoint_fingerprint()
         assert SETTINGS.fingerprint() != \
             SETTINGS.copy(population_size=24).fingerprint()
-
-
-class TestLegacyShimCheckpoint:
-    def test_run_caffeine_checkpoint_and_resume(self, tmp_path):
-        train, test = _datasets()
-        path = str(tmp_path / "run.ckpt")
-        reference = run_caffeine(train, test, settings=SETTINGS)
-        first = run_caffeine(train, test, settings=SETTINGS,
-                             checkpoint_path=path)
-        assert _front(first) == _front(reference)
-        # Second call resumes straight from the stored result slot.
-        again = run_caffeine(train, test, settings=SETTINGS,
-                             checkpoint_path=path)
-        assert _front(again) == _front(reference)
 
 
 class TestSessionResume:

@@ -317,12 +317,12 @@ def test_kernel_cache_respects_capacity_and_warmup():
     assert compiler.n_interpreted == 2
     assert compiler.n_compiled == 2
     assert len(compiler._kernels) == 1  # LRU capacity enforced
-    # max_kernels=0 compiles fresh every time, still correct
-    uncached = TreeCompiler(X, max_kernels=0)
+    # a one-kernel LRU that keeps evicting still evaluates bit-for-bit
     interpreted = evaluate_basis_column(a, X)
-    for _ in range(2):
-        _assert_bitwise_equal(uncached.column(a), interpreted)
-    assert uncached.n_compiled == 2
+    _assert_bitwise_equal(compiler.column(b), evaluate_basis_column(b, X))
+    _assert_bitwise_equal(compiler.column(a), interpreted)
+    with pytest.raises(ValueError, match="max_kernels"):
+        TreeCompiler(X, max_kernels=0)
 
 
 def test_compile_basis_function_convenience():

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core.engine import run_caffeine
+from repro.core.engine import CaffeineEngine
 from repro.core.evaluation import (
     BasisColumnCache,
+    GramPool,
     PopulationEvaluator,
     evaluate_individual_inplace,
 )
@@ -84,12 +87,14 @@ class TestBasisColumnCache:
         assert ("a",) in cache and ("c",) in cache
         assert cache.stats.evictions == 1
 
-    def test_zero_capacity_disables_storage(self):
-        cache = BasisColumnCache(max_entries=0)
+    def test_zero_capacity_rejected(self):
+        # There is no disabled cache: the smallest one holds one entry.
+        with pytest.raises(ValueError, match="at least 1"):
+            BasisColumnCache(max_entries=0)
+        cache = BasisColumnCache(max_entries=1)
         cache.put(("a",), np.zeros(3))
-        assert len(cache) == 0
-        assert cache.get(("a",)) is None
-        assert cache.stats.misses == 1
+        cache.put(("b",), np.ones(3))
+        assert len(cache) == 1 and ("b",) in cache
 
     def test_hit_rate(self):
         cache = BasisColumnCache(max_entries=4)
@@ -161,11 +166,13 @@ class TestEvaluatorEquivalence:
 
     def test_cache_disabled_still_correct(self, generator, rational_train,
                                           fast_settings):
+        """A one-entry cache, the closest thing to no cache, changes
+        nothing: it also bounds the fit cache to one entry."""
         population = _random_population(generator, 6)
         reference = [ind.clone() for ind in population]
-        no_cache = PopulationEvaluator(
-            rational_train.X, rational_train.y,
-            fast_settings.copy(basis_cache_size=0))
+        no_cache = PopulationEvaluator(rational_train.X, rational_train.y,
+                                       fast_settings,
+                                       cache=BasisColumnCache(1))
         cached = PopulationEvaluator(rational_train.X, rational_train.y,
                                      fast_settings)
         no_cache.evaluate_population(population)
@@ -178,7 +185,7 @@ class TestEvaluatorEquivalence:
         population = _random_population(generator, 10)
         reference = [ind.clone() for ind in population]
         tiny = PopulationEvaluator(rational_train.X, rational_train.y,
-                                   fast_settings.copy(basis_cache_size=2))
+                                   fast_settings, cache=BasisColumnCache(2))
         big = PopulationEvaluator(rational_train.X, rational_train.y,
                                   fast_settings)
         tiny.evaluate_population(population)
@@ -232,17 +239,29 @@ class TestEvaluatorValidation:
 
     def test_settings_validate_backend(self):
         # There is one evaluation path, so the old backend switches are
-        # unknown fields; the basis-cache budget is still validated.
+        # unknown fields.
         for field, value in (("evaluation_backend", "serial"),
                              ("evaluation_workers", 1)):
             with pytest.raises(TypeError, match=field):
                 CaffeineSettings(**{field: value})
-        with pytest.raises(ValueError, match="basis_cache_size"):
-            CaffeineSettings(basis_cache_size=-1)
 
-    def test_settings_reject_negative_kernel_cache_size(self):
-        with pytest.raises(ValueError, match="kernel_cache_size"):
-            CaffeineSettings(kernel_cache_size=-1)
+    def test_settings_hold_no_cache_budgets(self):
+        """The settings are the paper's run settings plus fault injection:
+        cache budgets derive from the run size (``cache_budgets``), so no
+        cache field exists and any unknown field raises ``TypeError``."""
+        assert [field.name for field in
+                dataclasses.fields(CaffeineSettings)] == [
+            "population_size", "n_generations", "random_seed",
+            "max_basis_functions", "max_tree_depth", "max_vc_exponent",
+            "allow_negative_exponents", "expected_vc_variables",
+            "enable_conditionals", "weight_exponent_bound",
+            "weight_mutation_scale", "parameter_mutation_bias",
+            "p_variable_combo", "p_operator_factor", "p_extra_sum_term",
+            "max_initial_basis_functions", "basis_function_cost",
+            "vc_exponent_cost", "function_set", "simplify_after_generation",
+            "sag_min_relative_improvement", "fault_injection"]
+        with pytest.raises(TypeError, match="cache_entries"):
+            CaffeineSettings(cache_entries=10)
 
 
 class TestGramPoolEquivalence:
@@ -282,12 +301,12 @@ class TestGramPoolEquivalence:
     def test_gram_pairs_reused_across_generations(self, generator,
                                                   rational_train, fast_settings):
         """Re-evaluating overlapping individuals hits the pair pool: the
-        second batch (clones with the fit cache disabled) computes no new
-        pair dots."""
+        second batch (clones refitted, since a one-entry cache also bounds
+        the fit cache to one entry) computes no new pair dots."""
         population = _random_population(generator, 10)
-        evaluator = PopulationEvaluator(
-            rational_train.X, rational_train.y,
-            fast_settings.copy(basis_cache_size=0))
+        evaluator = PopulationEvaluator(rational_train.X, rational_train.y,
+                                        fast_settings,
+                                        cache=BasisColumnCache(1))
         evaluator.evaluate_population(population)
         pairs_after_first = evaluator.gram_pool.n_pairs_computed
         assert pairs_after_first > 0
@@ -313,7 +332,8 @@ class TestGramPoolEquivalence:
         population = _random_population(generator, 12)
         reference = [ind.clone() for ind in population]
         tiny = PopulationEvaluator(rational_train.X, rational_train.y,
-                                   fast_settings.copy(gram_pool_size=3))
+                                   fast_settings)
+        tiny._fit_backend.pool = GramPool(rational_train.y, max_pairs=3)
         tiny.evaluate_population(population)
         self._direct(reference, rational_train.X, rational_train.y,
                      fast_settings)
@@ -322,14 +342,11 @@ class TestGramPoolEquivalence:
 
     def test_settings_validate_fit_backend(self):
         # Gram-pool fits and the NumPy Pareto sort are the only paths, so
-        # the old backend switches are unknown fields; the pool budget is
-        # still validated.
+        # the old backend switches are unknown fields.
         for field, value in (("fit_backend", "gram"),
                              ("pareto_backend", "numpy")):
             with pytest.raises(TypeError, match=field):
                 CaffeineSettings(**{field: value})
-        with pytest.raises(ValueError, match="gram_pool_size"):
-            CaffeineSettings(gram_pool_size=-1)
 
 
 class TestPicklableFunctionSet:
@@ -433,37 +450,34 @@ class TestSharedColumnCache:
 
 class TestEndToEndReproducibility:
     def test_cache_on_off_same_tradeoff(self, rational_train, rational_test):
-        """Fixed seed => identical trade-off whether or not the cache is on."""
+        """Fixed seed => identical trade-off with the derived cache budget
+        and with a one-entry cache (which misses nearly every lookup)."""
         base = CaffeineSettings(population_size=20, n_generations=4,
                                 random_seed=7)
-        cached = run_caffeine(rational_train, rational_test, base)
-        uncached = run_caffeine(rational_train, rational_test,
-                                base.copy(basis_cache_size=0))
+        cached = CaffeineEngine(rational_train, rational_test, base).run()
+        uncached = CaffeineEngine(rational_train, rational_test, base,
+                                  column_cache=BasisColumnCache(1)).run()
         assert [m.expression() for m in cached.tradeoff] == \
             [m.expression() for m in uncached.tradeoff]
         assert [m.train_error for m in cached.tradeoff] == \
             [m.train_error for m in uncached.tradeoff]
 
-    def test_shared_column_cache_same_tradeoff(self, rational_train,
-                                               rational_test):
+    def test_engines_sharing_one_cache_same_tradeoff(self, rational_train,
+                                                     rational_test):
         """Sharing a column cache across runs never changes the models."""
-        from repro.core.evaluation import BasisColumnCache as Cache
-
         base = CaffeineSettings(population_size=20, n_generations=3,
                                 random_seed=11)
-        private = run_caffeine(rational_train, rational_test, base)
-        shared = Cache(base.basis_cache_size)
-        first = run_caffeine(rational_train, rational_test, base,
-                             column_cache=shared)
-        second = run_caffeine(rational_train, rational_test, base,
-                              column_cache=shared)
+        private = CaffeineEngine(rational_train, rational_test, base).run()
+        shared = BasisColumnCache()
+        first = CaffeineEngine(rational_train, rational_test, base,
+                               column_cache=shared).run()
+        second = CaffeineEngine(rational_train, rational_test, base,
+                                column_cache=shared).run()
         for result in (first, second):
             assert [m.expression() for m in result.tradeoff] == \
                 [m.expression() for m in private.tradeoff]
 
     def test_engine_cache_hits_accumulate(self, rational_train):
-        from repro.core.engine import CaffeineEngine
-
         settings = CaffeineSettings(population_size=20, n_generations=3,
                                     random_seed=5)
         engine = CaffeineEngine(rational_train, settings=settings)

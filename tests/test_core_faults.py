@@ -15,7 +15,6 @@ import pytest
 from repro import InjectedFault, ProblemFailure
 from repro.core import faults
 from repro.core.cache_store import ColumnCacheStore
-from repro.core.engine import run_caffeine
 from repro.core.problem import Problem
 from repro.core.session import Session, SessionCallback
 from repro.core.settings import CaffeineSettings
@@ -140,11 +139,12 @@ class TestFireSemantics:
 
 
 class TestSerialFaultTolerance:
-    def test_fit_exception_propagates_through_legacy_shim(self):
+    def test_fit_exception_propagates_under_raise_policy(self):
         problem = _problems(("t1",))[0]
         settings = SETTINGS.copy(fault_injection="fit.exception")
         with pytest.raises(InjectedFault):
-            run_caffeine(problem.train, settings=settings)
+            Session([problem], settings=settings,
+                    failure_policy="raise").run()
 
     def test_serial_retry_recovers_and_matches_clean_run(self):
         problem = _problems(("t1",))[0]

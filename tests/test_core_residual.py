@@ -16,10 +16,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from repro.core.engine import run_caffeine
+from repro.core.engine import CaffeineEngine
 from repro.core.evaluation import (
+    BasisColumnCache,
     BatchedResidualBackend,
     PopulationEvaluator,
+    cache_budgets,
     evaluate_individual_inplace,
 )
 from repro.core.generator import ExpressionGenerator
@@ -279,51 +281,34 @@ class TestEvaluatorResidualEquivalence:
 
 
 class TestAdaptiveBudgets:
-    """The default LRU budgets scale with population; explicit values hold."""
+    """The LRU budgets derive from the run size; a passed cache holds."""
 
     def test_defaults_scale_with_population(self):
-        small = CaffeineSettings()
-        assert small.resolved_basis_cache_size() == small.basis_cache_size
-        assert small.resolved_gram_pool_size() == small.gram_pool_size
-        assert small.resolved_kernel_cache_size() == small.kernel_cache_size
-        big = CaffeineSettings(population_size=2000)
-        assert big.resolved_basis_cache_size() > big.basis_cache_size
-        assert big.resolved_gram_pool_size() > big.gram_pool_size
-        assert big.resolved_kernel_cache_size() > big.kernel_cache_size
+        # Floors at paper scale; the pm-pop1000 benchmark workload's budgets.
+        assert cache_budgets(CaffeineSettings()) == (20000, 200000, 4096)
+        assert cache_budgets(CaffeineSettings(population_size=1000)) == \
+            (60000, 360000, 8000)
+        small = cache_budgets(CaffeineSettings())
+        big = cache_budgets(CaffeineSettings(population_size=2000))
+        assert all(b > s for b, s in zip(big, small, strict=True))
 
-    def test_adaptive_budgets_flag_pins_defaults_exactly(self):
-        """A hard cap equal to a class default is expressible: turning the
-        flag off pins every budget verbatim (a dataclass cannot tell an
-        untouched default from the same number typed deliberately)."""
-        pinned = CaffeineSettings(population_size=2000,
-                                  adaptive_cache_budgets=False)
-        assert pinned.resolved_basis_cache_size() == pinned.basis_cache_size
-        assert pinned.resolved_gram_pool_size() == pinned.gram_pool_size
-        assert pinned.resolved_kernel_cache_size() == pinned.kernel_cache_size
-
-    def test_explicit_values_are_honored_exactly(self):
-        settings = CaffeineSettings(population_size=2000, basis_cache_size=2,
-                                    gram_pool_size=3, kernel_cache_size=0)
-        assert settings.resolved_basis_cache_size() == 2
-        assert settings.resolved_gram_pool_size() == 3
-        assert settings.resolved_kernel_cache_size() == 0
-        disabled = CaffeineSettings(population_size=2000, basis_cache_size=0,
-                                    gram_pool_size=0)
-        assert disabled.resolved_basis_cache_size() == 0
-        assert disabled.resolved_gram_pool_size() == 0
+    def test_explicit_values_are_honored_exactly(self, rational_train):
+        """A cache handed to the engine is used as is, at its capacity."""
+        settings = CaffeineSettings(population_size=2000)
+        cache = BasisColumnCache(2)
+        engine = CaffeineEngine(rational_train, settings=settings,
+                                column_cache=cache)
+        assert engine.evaluator.cache is cache
+        assert engine.evaluator.cache.max_entries == 2
 
     def test_evaluator_and_compiler_use_resolved_budgets(self, rational_train):
         settings = CaffeineSettings(population_size=1000)
+        budgets = cache_budgets(settings)
         evaluator = PopulationEvaluator(rational_train.X, rational_train.y,
                                         settings)
-        assert evaluator.cache.max_entries == \
-            settings.resolved_basis_cache_size()
-        assert evaluator.gram_pool.max_pairs == \
-            settings.resolved_gram_pool_size()
-        assert evaluator._compiler.max_kernels == \
-            settings.resolved_kernel_cache_size()
-        with pytest.raises(ValueError):
-            CaffeineSettings(kernel_cache_size=-1)
+        assert evaluator.cache.max_entries == budgets.columns
+        assert evaluator.gram_pool.max_pairs == budgets.gram_pairs
+        assert evaluator._compiler.max_kernels == budgets.kernels
 
 
 class TestEngineResidualEquivalence:
@@ -336,7 +321,7 @@ class TestEngineResidualEquivalence:
 
         base = CaffeineSettings(population_size=20, n_generations=3,
                                 random_seed=3)
-        result = run_caffeine(rational_train, rational_test, base)
+        result = CaffeineEngine(rational_train, rational_test, base).run()
         assert result.n_models >= 1
         for model in result.tradeoff:
             individual = Individual(bases=list(model.bases),
@@ -354,7 +339,7 @@ class TestEngineResidualEquivalence:
 
         base = CaffeineSettings(population_size=20, n_generations=3,
                                 random_seed=13)
-        result = run_caffeine(rational_train, rational_test, base)
+        result = CaffeineEngine(rational_train, rational_test, base).run()
         models = list(result.tradeoff)
         assert models
         batched = rescore_models(models, rational_test.X, rational_test.y)

@@ -1,4 +1,4 @@
-"""Problem/Session orchestration: shim equality, parallel runs, callbacks."""
+"""Problem/Session orchestration: engine equality, parallel runs, callbacks."""
 
 from __future__ import annotations
 
@@ -7,15 +7,12 @@ import os
 import numpy as np
 import pytest
 
+import repro.core.session as session_module
 from repro.core.cache_store import ColumnCacheStore
-from repro.core.engine import run_caffeine
-from repro.core.evaluation import BasisColumnCache
+from repro.core.engine import CaffeineEngine
+from repro.core.evaluation import BasisColumnCache, cache_budgets
 from repro.core.problem import Problem
-from repro.core.session import (
-    LegacyProgressCallback,
-    Session,
-    SessionCallback,
-)
+from repro.core.session import Session, SessionCallback
 from repro.core.settings import CaffeineSettings
 from repro.data.dataset import Dataset
 
@@ -42,6 +39,20 @@ def _two_problems():
     p2 = Problem(train=Dataset(X, X[:, 2] ** 2 + X[:, 0], names,
                                target_name="t2"))
     return [p1, p2]
+
+
+@pytest.fixture()
+def session_caches(monkeypatch):
+    """Every column cache a Session builds, in creation order."""
+    created = []
+
+    class RecordingCache(BasisColumnCache):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(session_module, "BasisColumnCache", RecordingCache)
+    return created
 
 
 def _front(result):
@@ -123,21 +134,17 @@ class TestProblem:
 
 
 class TestSerialEquality:
-    def test_session_matches_legacy_run_caffeine(self):
-        """Fixed-seed bit-for-bit equality: Session vs the legacy shim.
-
-        (The shim itself routes through Session now, so run each problem
-        through a *bare* one-problem session AND through run_caffeine with
-        a pre-shared cache -- the historic driver shape -- and compare.)
-        """
+    def test_session_matches_engines_sharing_one_cache(self):
+        """Fixed-seed bit-for-bit equality: Session vs bare engines that
+        share one column cache by hand."""
         problems = _two_problems()
         outcome = Session(problems, settings=SETTINGS).run()
 
-        shared = BasisColumnCache(SETTINGS.basis_cache_size)
+        shared = BasisColumnCache(cache_budgets(SETTINGS).columns)
         for problem in problems:
-            legacy = run_caffeine(problem.train, settings=SETTINGS,
-                                  column_cache=shared)
-            assert _front(legacy) == _front(outcome[problem.name])
+            engine = CaffeineEngine(problem.train, settings=SETTINGS,
+                                    column_cache=shared)
+            assert _front(engine.run()) == _front(outcome[problem.name])
 
     def test_result_mapping_api(self):
         outcome = Session(_two_problems(), settings=SETTINGS).run()
@@ -155,15 +162,16 @@ class TestSerialEquality:
             SETTINGS.copy(population_size=20, random_seed=9))
         outcome = Session([problems[0], pinned], settings=SETTINGS).run()
         assert outcome["t2"].settings.population_size == 20
-        reference = run_caffeine(pinned.train, settings=pinned.settings)
+        reference = CaffeineEngine(pinned.train,
+                                   settings=pinned.settings).run()
         assert _front(reference) == _front(outcome["t2"])
 
     def test_validation_errors(self):
         problems = _two_problems()
         with pytest.raises(ValueError, match="jobs"):
             Session(problems, jobs=0)
-        with pytest.raises(ValueError, match="column_cache_path"):
-            Session(problems, jobs=2, column_cache=BasisColumnCache(10))
+        with pytest.raises(TypeError, match="column_cache"):
+            Session(problems, column_cache=BasisColumnCache(10))
         with pytest.raises(ValueError, match="already scheduled"):
             Session([problems[0], problems[0]])
         with pytest.raises(TypeError, match="Problem"):
@@ -237,14 +245,6 @@ class TestCallbacksAndCheckpoints:
         for name in outcome.names:
             assert _front(silent[name]) == _front(outcome[name])
 
-    def test_legacy_progress_adapter(self):
-        seen = []
-        problem = _two_problems()[0]
-        Session([problem], settings=SETTINGS,
-                callbacks=[LegacyProgressCallback(
-                    lambda gen, stats: seen.append(gen))]).run()
-        assert seen == list(range(SETTINGS.n_generations))
-
     def test_checkpoint_saves_after_each_problem(self, tmp_path):
         path = str(tmp_path / "cols.cache")
         checkpoints = []
@@ -270,7 +270,7 @@ class TestCallbacksAndCheckpoints:
         for name in cold.names:
             assert _front(cold[name]) == _front(warm[name])
 
-    def test_warm_load_is_namespace_filtered(self, tmp_path):
+    def test_warm_load_is_namespace_filtered(self, tmp_path, session_caches):
         """Foreign namespaces in a shared store never occupy LRU room."""
         path = str(tmp_path / "cols.cache")
         # Seed the store with entries from an unrelated namespace.
@@ -279,9 +279,9 @@ class TestCallbacksAndCheckpoints:
                     np.zeros(8))
         ColumnCacheStore(path).save(foreign)
 
-        cache = BasisColumnCache(SETTINGS.basis_cache_size)
-        Session(_two_problems(), settings=SETTINGS, column_cache=cache,
+        Session(_two_problems(), settings=SETTINGS,
                 column_cache_path=path).run()
+        [cache] = session_caches
         foreign_keys = [key for key, _column in cache.items()
                         if key[0][0] == "foreign-dataset"]
         assert foreign_keys == []  # filtered out, not loaded
@@ -290,24 +290,15 @@ class TestCallbacksAndCheckpoints:
         assert any(key[0][0] == "foreign-dataset"
                    for key, _column in stored.items())
 
-    def test_cache_disabled_problem_never_touches_shared_cache(self):
-        """basis_cache_size=0 problems opt out of the shared cache."""
-        cache = BasisColumnCache(SETTINGS.basis_cache_size)
-        no_cache = _two_problems()[1].with_settings(
-            SETTINGS.copy(basis_cache_size=0))
-        outcome = Session([no_cache], settings=SETTINGS,
-                          column_cache=cache).run()
-        assert len(cache) == 0  # nothing leaked into the shared cache
-        # Results still match an independent run of the same settings.
-        reference = run_caffeine(no_cache.train, settings=no_cache.settings)
-        assert _front(reference) == _front(outcome["t2"])
-
-    def test_shared_cache_sized_to_largest_problem_request(self):
+    def test_shared_cache_sized_to_largest_problem_request(self,
+                                                           session_caches):
         problems = _two_problems()
-        big = problems[1].with_settings(SETTINGS.copy(basis_cache_size=50000))
+        # 4 * population * max_basis_functions = 25600 > the 20000 floor
+        big = problems[1].with_settings(
+            SETTINGS.copy(max_basis_functions=400, n_generations=1))
         session = Session([problems[0], big], settings=SETTINGS)
         outcome = session.run()
-        assert outcome.names == ("t1", "t2")  # runs fine; sizing is internal
-        sizes = [p.effective_settings(SETTINGS).basis_cache_size
-                 for p in session.problems]
-        assert max(sizes) == 50000
+        assert outcome.names == ("t1", "t2")
+        [cache] = session_caches
+        assert cache.max_entries == cache_budgets(big.settings).columns \
+            == 25600

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import SymbolicRegressor
-from repro.core.engine import run_caffeine
+from repro.core.engine import CaffeineEngine
 from repro.core.settings import CaffeineSettings
 from repro.data.dataset import Dataset
 
@@ -111,8 +111,8 @@ class TestFitPredict:
 
 
 class TestShimEquality:
-    def test_estimator_matches_legacy_run_caffeine(self):
-        """Fixed-seed bit-for-bit equality of the facade and the shim."""
+    def test_estimator_matches_engine(self):
+        """Fixed-seed bit-for-bit equality of the facade and a bare engine."""
         X, y = _data()
         X_test, y_test = _data(1)
         est = SymbolicRegressor(settings=SETTINGS).fit(
@@ -120,14 +120,14 @@ class TestShimEquality:
 
         train = Dataset(X, y, variable_names=("x0", "x1", "x2"))
         test = Dataset(X_test, y_test, variable_names=("x0", "x1", "x2"))
-        legacy = run_caffeine(train, test, settings=SETTINGS)
+        engine = CaffeineEngine(train, test, settings=SETTINGS).run()
 
         assert ([(m.train_error, m.test_error, m.complexity, m.expression())
-                 for m in legacy.tradeoff]
+                 for m in engine.tradeoff]
                 == [(m.train_error, m.test_error, m.complexity,
                      m.expression())
                     for m in est.pareto_front_])
-        assert (legacy.best_model().expression()
+        assert (engine.best_model().expression()
                 == est.best_model_.expression())
 
     def test_individual_params_build_matching_settings(self):

@@ -14,11 +14,11 @@ from repro.core.settings import CaffeineSettings
 from repro.experiments import (
     generate_ota_datasets,
     run_ablation,
-    run_caffeine_for_target,
     run_figure3,
     run_figure4,
     run_table1,
     run_table2,
+    session_for_targets,
 )
 from repro.experiments.setup import LOG_SCALED_TARGETS
 
@@ -32,9 +32,9 @@ def tiny_settings():
 @pytest.fixture(scope="module")
 def shared_results(ota_datasets, tiny_settings):
     """One CAFFEINE run per target, shared by the driver tests."""
-    targets = ("PM", "SRp")
-    return {t: run_caffeine_for_target(ota_datasets, t, tiny_settings)
-            for t in targets}
+    outcome = session_for_targets(ota_datasets, ("PM", "SRp"),
+                                  tiny_settings).run().raise_failures()
+    return dict(outcome.items())
 
 
 class TestSetup:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from golden.regen import (CASES, front_fingerprint, load_golden, pm_settings,
-                          run_target)
+from golden.regen import (CASES, front_fingerprint, load_golden,
+                          ota_datasets, pm_settings)
+from repro.core.engine import CaffeineEngine
+from repro.core.evaluation import BasisColumnCache
 from repro.core.settings import CaffeineSettings
 
 
@@ -20,17 +22,12 @@ def test_golden_fronts(case):
     assert CASES[case]() == load_golden(case)
 
 
-#: settings that must never change a front: each variant reruns the
-#: ``pm_pop100`` case and must reproduce its golden fingerprint
-RESULT_NEUTRAL_VARIANTS = {
-    "gram-pool-0": dict(gram_pool_size=0),
-    "gram-pool-0-no-column-cache": dict(gram_pool_size=0, basis_cache_size=0),
-}
-
-
-@pytest.mark.parametrize("variant", sorted(RESULT_NEUTRAL_VARIANTS))
-def test_result_neutral_settings_keep_the_front(variant):
-    result = run_target("PM", pm_settings(**RESULT_NEUTRAL_VARIANTS[variant]))
+def test_one_entry_column_cache_keeps_the_front():
+    # Cache budgets never change a front: a one-entry column cache (which
+    # also bounds the fit cache to one entry) evicts almost everything.
+    train, test = ota_datasets().for_target("PM")
+    result = CaffeineEngine(train, test, settings=pm_settings(),
+                            column_cache=BasisColumnCache(1)).run()
     assert front_fingerprint([result]) == load_golden("pm_pop100")["PM"]
 
 

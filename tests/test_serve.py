@@ -182,6 +182,14 @@ class TestRejections:
         assert status == 400
         assert "'y'" in body["error"]
 
+    @pytest.mark.parametrize("index", ["1.5", '"1"', "true", "1.0"])
+    def test_non_integer_model_index_is_a_400(self, server, index):
+        status, body = _post_raw(
+            server, "/predict",
+            f'{{"X": [[1.0, 1.0]], "model_index": {index}}}'.encode())
+        assert status == 400
+        assert "model_index must be an integer" in body["error"]
+
     def test_unknown_paths(self, server):
         assert _post_status(server, "/nope", {"X": []}) == 404
         try:
