@@ -234,7 +234,7 @@ def _measure_population_1000(train):
     run_seconds = time.perf_counter() - start
 
     evaluator = engine.evaluator
-    compiler = evaluator._compiler
+    compiler = evaluator._column_backend.compiler
     n_evaluations = evaluator.n_evaluated
     return {
         "workload": "figure3-PM CaffeineEngine.run at population 1000",

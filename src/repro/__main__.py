@@ -264,12 +264,18 @@ def _save_front_directory(results: Mapping, directory) -> None:
         _save_front_file(result, base / f"{target}.front")
 
 
-def _run_csv_command(args: argparse.Namespace,
+def _run_csv_command(parser: argparse.ArgumentParser,
+                     args: argparse.Namespace,
                      settings: CaffeineSettings) -> int:
-    problem = Problem.from_csv(args.csv, target=args.target,
-                               test_path=args.test,
-                               feature_columns=args.features,
-                               log10_target=args.log10_target)
+    # A missing, unreadable or non-numeric input file is a usage error (one
+    # "error:" line, exit status 2); errors from the run itself propagate.
+    try:
+        problem = Problem.from_csv(args.csv, target=args.target,
+                                   test_path=args.test,
+                                   feature_columns=args.features,
+                                   log10_target=args.log10_target)
+    except (OSError, ValueError) as error:
+        parser.error(str(error))
     print(f"Problem {problem.name!r}: {problem.train.n_samples} train"
           + (f" / {problem.test.n_samples} test" if problem.test else "")
           + f" samples, {problem.n_variables} variables")
@@ -303,9 +309,17 @@ def _run_csv_command(args: argparse.Namespace,
     return 0
 
 
-def _serve_command(args: argparse.Namespace) -> int:
+def _serve_command(parser: argparse.ArgumentParser,
+                   args: argparse.Namespace) -> int:
+    from repro.core.artifact import load_front
     from repro.serve import serve_front
 
+    # Check the artifact first, so a missing or damaged one is a usage
+    # error; serve_front then loads it under its cold-load timer.
+    try:
+        load_front(args.artifact)
+    except (OSError, ValueError) as error:
+        parser.error(f"cannot serve {args.artifact}: {error}")
     serve_front(args.artifact, host=args.host, port=args.port,
                 quiet=not args.verbose)
     return 0
@@ -320,7 +334,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "serve":
-        return _serve_command(args)
+        return _serve_command(parser, args)
     settings = None
     if args.command != "datasets":
         # Invalid budgets fail here, before any data is generated.
@@ -329,7 +343,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except ValueError as error:
             parser.error(str(error))
     if args.command in ("run", "freeze"):
-        return _run_csv_command(args, settings)
+        return _run_csv_command(parser, args, settings)
 
     datasets = generate_ota_datasets(n_runs=args.runs)
     print(datasets.summary())

@@ -48,7 +48,6 @@ from repro.core.compile import (
     CompilationError,
     CompiledKernel,
     TreeCompiler,
-    compile_basis_function,
     skeleton_and_params,
 )
 from repro.core.complexity import basis_function_complexity, model_complexity, vc_cost
@@ -144,7 +143,6 @@ __all__ = [
     "TreeCompiler",
     "CompiledKernel",
     "CompilationError",
-    "compile_basis_function",
     "skeleton_and_params",
     "structural_key",
     "ExpressionGenerator",

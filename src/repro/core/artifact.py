@@ -4,9 +4,9 @@ A CAFFEINE run's real product is its error/complexity trade-off, but until
 now that trade-off died with the process (or lived inside a run checkpoint,
 which drags the whole evolutionary state along).  This module freezes a
 finished front into a small, versioned, checksummed file and loads it back
-as a :class:`FrozenFront` -- a pure *prediction* object that reconstitutes
-compiled kernels through :mod:`repro.core.compile` and never imports the
-evolution machinery (engine, session, evaluator).
+as a :class:`FrozenFront` -- a pure *prediction* object that evaluates its
+models' basis functions directly and never imports the evolution machinery
+(engine, session, evaluator, compiler).
 
 * :func:`save_front` serializes a :class:`~repro.core.engine.CaffeineResult`
   (or anything carrying a ``tradeoff``) through :class:`FrontArtifactStore`,
@@ -22,10 +22,9 @@ evolution machinery (engine, session, evaluator).
   feature-count mismatch (the model literally cannot evaluate) rejects.
 
 Prediction follows the engine's canonical recipes bit for bit: unique basis
-columns are evaluated once across the front (compiled tapes via
-:class:`~repro.core.compile.TreeCompiler`, bit-identical to the
-interpreter), matrices assemble from the shared columns, and same-width
-groups run through one
+columns are evaluated once across the front and matrices assemble from the
+shared columns (:func:`repro.core.model.front_basis_matrices`, the column
+routine test scoring uses too), and same-width groups run through one
 :func:`~repro.regression.least_squares.predict_linear_batch` pass -- so a
 frozen front's predictions and :meth:`FrozenFront.rescore` errors equal the
 originating run's :func:`repro.core.report.rescore_models` output exactly
@@ -43,9 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.cache_store import _VersionedFileStore
-from repro.core.compile import TreeCompiler
-from repro.core.expression import structural_key
-from repro.core.model import SymbolicModel, TradeoffSet
+from repro.core.model import SymbolicModel, TradeoffSet, front_basis_matrices
 from repro.regression.least_squares import predict_linear_batch
 
 __all__ = ["FRONT_ARTIFACT_VERSION", "FrontArtifactStore", "FrozenFront",
@@ -100,33 +97,6 @@ class FrontArtifactStore(_VersionedFileStore):
 # prediction helpers (the canonical batched recipe, engine-free)
 # ----------------------------------------------------------------------
 
-def _front_matrices(models: Sequence[SymbolicModel],
-                    X: np.ndarray) -> List[np.ndarray]:
-    """One basis matrix per model from *shared* compiled columns.
-
-    Unique basis functions across the whole front evaluate once -- front
-    models share bases heavily -- through a :class:`TreeCompiler` bound to
-    ``X`` (recurring skeletons run as fused tapes, bit-identical to the
-    interpreter), exactly the column-sharing discipline of
-    :func:`repro.core.model.batch_test_errors`.
-    """
-    compiler = TreeCompiler(X)
-    columns: Dict[object, np.ndarray] = {}
-    matrices: List[np.ndarray] = []
-    for model in models:
-        assembled = []
-        for basis in model.bases:
-            key = structural_key(basis)
-            column = columns.get(key)
-            if column is None:
-                column = compiler.column(basis)
-                columns[key] = column
-            assembled.append(column)
-        matrices.append(np.column_stack(assembled) if assembled
-                        else np.zeros((X.shape[0], 0)))
-    return matrices
-
-
 def _predict_models(models: Sequence[SymbolicModel], X: np.ndarray,
                     transformed: bool = False) -> np.ndarray:
     """``(n_models, n_samples)`` predictions via the batched recipe.
@@ -137,7 +107,7 @@ def _predict_models(models: Sequence[SymbolicModel], X: np.ndarray,
     row-independent by construction, and the ``10**`` unscaling is applied
     per row so its array shape matches the scalar path.
     """
-    matrices = _front_matrices(models, X)
+    matrices = front_basis_matrices(models, X)
     predictions = np.zeros((len(models), X.shape[0]))
     groups: Dict[int, List[int]] = {}
     for index, model in enumerate(models):
@@ -307,7 +277,7 @@ class FrozenFront:
 
         Bit-for-bit what ``self.select(...).predict(X)`` -- and therefore
         what the live run's model -- returns; computed through the batched
-        kernel path.
+        prediction path.
         """
         X = self._check_features(X)
         model = self.select(by=by, complexity_max=complexity_max,

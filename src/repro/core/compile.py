@@ -44,17 +44,15 @@ first sighting of a skeleton is interpreted (and the skeleton remembered);
 a tape is built only when a skeleton recurs, so one-shot trees never pay
 compilation, only the cheap skeleton walk.
 
-A node type the compiler does not know falls back *per node*: the tape
-embeds a call to that subtree's own ``evaluate``, so exotic extensions still
-evaluate exactly as interpreted while the rest of the tree stays compiled
-(such trees are compiled fresh per evaluation -- their embedded state cannot
-be keyed -- and a node without even an ``evaluate`` method falls back to the
-plain interpreter for the whole tree).
+Only the node classes of :mod:`repro.core.expression` lower to tapes: the
+evaluator keys every tree with :func:`cached_skeleton_and_params`, which
+raises :class:`CompilationError` on any other node type before anything
+compiles.
 
-Correctness contract: ``TreeCompiler.column(basis)`` is bit-for-bit
-identical to ``evaluate_basis_column(basis, X)`` (magnitude clip and NaN
-semantics included) for every tree built from the node classes in
-:mod:`repro.core.expression`; the hypothesis property tests in
+Correctness contract: ``TreeCompiler.column_from_key(skeleton, params,
+basis)`` is bit-for-bit identical to ``evaluate_basis_column(basis, X)``
+(magnitude clip and NaN semantics included) for every tree built from
+those node classes; the hypothesis property tests in
 ``tests/test_core_compile.py`` enforce this over random trees, including
 parameter-perturbed skeleton reuse.  Operator implementations are assumed
 not to mutate their input arrays (true of every NumPy-style operation,
@@ -81,7 +79,6 @@ from repro.core.expression import (
     UnaryOpTerm,
     WeightedSum,
     cached_structural_key,
-    structural_key,
 )
 from repro.core.individual import _MAGNITUDE_LIMIT, evaluate_basis_column
 from repro.core.weights import Weight
@@ -93,7 +90,6 @@ __all__ = [
     "canonicalize_factors",
     "canonicalize_fresh_product_term",
     "cached_skeleton_and_params",
-    "compile_basis_function",
     "skeleton_and_params",
 ]
 
@@ -104,7 +100,7 @@ Operand = Union[int, Tuple[str, int], np.ndarray]
 
 
 class CompilationError(ValueError):
-    """A tree cannot be lowered to a tape (callers fall back to interpretation)."""
+    """A tree holds a node type that cannot be keyed or lowered to a tape."""
 
 
 class CompiledKernel:
@@ -428,14 +424,7 @@ class _Lowering:
             return self.emit(node.op.implementation, (left, right))
         if kind is ConditionalOpTerm:
             return self._lower_conditional(node)
-        # Per-node fallback: embed an interpreted evaluation of this subtree
-        # in the tape.  It runs under the kernel's errstate exactly as it
-        # would under evaluate_basis_column's, so the value is unchanged.
-        evaluate = getattr(node, "evaluate", None)
-        if not callable(evaluate):
-            raise CompilationError(
-                f"cannot lower {kind.__name__} (no evaluate method)")
-        return self.emit(evaluate, (self.compiler.X,))
+        raise CompilationError(f"cannot lower {kind.__name__} nodes")
 
     def _lower_product_term(self, node: ProductTerm) -> Operand:
         """Left-to-right product in the interpreter's association.
@@ -565,42 +554,23 @@ class TreeCompiler:
 
     # -- compilation ---------------------------------------------------
     def compile(self, basis: ProductTerm) -> CompiledKernel:
-        """Lower one tree to a kernel (no caching; unknown nodes embed their
-        own ``evaluate`` as a per-node fallback step)."""
+        """Lower one tree to a kernel (no caching; raises
+        :class:`CompilationError` on node types it does not know)."""
         lowering = _Lowering(self)
         result = lowering.lower(basis)
         self.n_compiled += 1
         return CompiledKernel(lowering.steps, lowering.n_slots, result,
                               self.n_samples, lowering.params)
 
-    def column(self, basis: ProductTerm) -> np.ndarray:
-        """Drop-in replacement for ``evaluate_basis_column(basis, self.X)``.
-
-        Total: every tree evaluates, bit-for-bit with the interpreter --
-        through a skeleton-cached tape when the skeleton has recurred,
-        through the interpreter on a skeleton's first sighting, through a
-        fresh uncached tape when the tree embeds unknown (opaque) node
-        types, and through the interpreter itself when a node cannot be
-        lowered at all.
-        """
-        try:
-            skeleton, params = skeleton_and_params(basis)
-        except CompilationError:
-            self.n_kernel_requests += 1
-            try:
-                kernel = self.compile(basis)
-            except CompilationError:
-                return evaluate_basis_column(basis, self.X)
-            return kernel(kernel.compiled_params)
-        return self.column_from_key(skeleton, params, basis)
-
     def column_from_key(self, skeleton: Tuple, params: Sequence[float],
                         basis: ProductTerm) -> np.ndarray:
-        """:meth:`column` for callers that already hold the skeleton walk.
+        """``evaluate_basis_column(basis, self.X)``, bit for bit.
 
-        The population evaluator keys its basis-column cache by
-        ``(skeleton, params)``, so on a cache miss the walk has already been
-        paid -- this entry point reuses it instead of re-walking the tree.
+        ``(skeleton, params)`` is ``skeleton_and_params(basis)``: the
+        population evaluator keys its basis-column cache by that pair, so on
+        a cache miss the walk has already been paid and is reused here.  A
+        skeleton's first sighting is interpreted; a recurring one runs
+        through its cached tape.
         """
         self.n_kernel_requests += 1
         with self._lock:
@@ -628,13 +598,3 @@ class TreeCompiler:
             while len(self._kernels) > self.max_kernels:
                 self._kernels.popitem(last=False)
         return kernel(params)
-
-
-def compile_basis_function(basis: ProductTerm, X: np.ndarray) -> CompiledKernel:
-    """One-shot convenience: compile ``basis`` against ``X``.
-
-    ``kernel(kernel.compiled_params)`` evaluates ``basis`` itself;
-    :func:`skeleton_and_params` extracts the parameter vector of any other
-    tree sharing the same skeleton.
-    """
-    return TreeCompiler(X).compile(basis)

@@ -10,21 +10,26 @@ the *same* dataset.  This module removes that redundancy:
 
 * :class:`BasisColumnCache` -- an LRU cache mapping a basis function's
   structural key to its evaluated column on one dataset;
-* :class:`PopulationEvaluator` -- evaluates whole populations: it collects
-  the unique uncached basis functions across all individuals, computes their
-  columns once (through :class:`CompiledColumnBackend`'s fused tapes), then
-  assembles each individual's basis matrix from cached columns and runs the
-  linear fits (:class:`GramFitBackend`) and the residual pass
-  (:class:`BatchedResidualBackend`); a second,
+* :class:`PopulationEvaluator` -- evaluates whole populations, and single
+  individuals as populations of one: every fresh fit takes the same path.
+  Each uncached basis column is computed once (through
+  :class:`CompiledColumnBackend`'s fused tapes) and stored in the column
+  cache, the only column store; :class:`GramFitBackend` then solves each
+  same-width group of fits in stacked LAPACK calls and scores the group's
+  training errors from the very prediction rows that gave the fits their
+  residual sums of squares -- one prediction pass per fit group.  A second,
   individual-level LRU (keyed by the ordered tuple of basis keys) short-cuts
   the fit itself for structurally identical individuals;
 * :class:`GramPool` -- a cross-generation pool of normal-equation scalars
   (column sums, column--target dots and pairwise column dot products, all by
   structural key) that turns each linear fit into a small
   ``(k+1) x (k+1)`` gather-and-solve with no per-fit pass over
-  ``n_samples`` beyond the final residual step; offspring that differ from a
-  parent by one basis function cost ``k`` fresh pair dots instead of a full
-  ``k^2`` gram (the incremental, "rank-1" regime);
+  ``n_samples`` beyond the final prediction step; offspring that differ from
+  a parent by one basis function cost ``k`` fresh pair dots instead of a
+  full ``k^2`` gram (the incremental, "rank-1" regime);
+* :class:`BatchedResidualBackend` -- the stacked prediction/residual pass
+  that scores fitted models on *other* data (test sets, see
+  :func:`repro.core.model.batch_test_errors`);
 * :func:`evaluate_individual_inplace` -- the plain one-individual path that
   ``Individual.evaluate`` wraps and the tests use as the reference.
 
@@ -64,11 +69,7 @@ from repro.core import faults
 from repro.core.compile import TreeCompiler, cached_skeleton_and_params
 from repro.core.complexity import basis_function_complexity, model_complexity
 from repro.core.expression import ProductTerm
-from repro.core.individual import (
-    Individual,
-    evaluate_basis_column,
-    evaluate_basis_matrix,
-)
+from repro.core.individual import Individual, evaluate_basis_matrix
 from repro.core.settings import CaffeineSettings
 from repro.data.metrics import (
     error_normalization,
@@ -78,7 +79,6 @@ from repro.data.metrics import (
 from repro.regression.least_squares import (
     LinearFit,
     fit_linear,
-    fit_linear_from_gram,
     fit_linear_from_gram_batch,
     pair_dots,
     predict_linear_batch,
@@ -113,22 +113,6 @@ def dataset_fingerprint(X: np.ndarray) -> str:
     digest.update(str(arr.shape).encode("ascii"))
     digest.update(arr.tobytes())
     return digest.hexdigest()
-
-
-def function_set_fingerprint(function_set) -> Tuple:
-    """Identity of a function set's operator *implementations*.
-
-    Structural keys identify operators by name only, which is unambiguous
-    within one function set but not across sets: two runs could both name an
-    operator ``"inv"`` yet bind different implementations.  A shared column
-    cache therefore namespaces by this fingerprint too -- operator names
-    plus the module/qualname of their implementations -- so runs only share
-    columns when same-named operators mean the same computation.  (Thin
-    wrapper around :meth:`repro.core.functions.FunctionSet.fingerprint`,
-    which the persistent :class:`~repro.core.cache_store.ColumnCacheStore`
-    also keys by.)
-    """
-    return function_set.fingerprint()
 
 
 class CacheBudgets(NamedTuple):
@@ -176,10 +160,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         """Fraction of lookups served from the cache (0.0 when untouched)."""
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "hit_rate": self.hit_rate}
 
 
 class BasisColumnCache:
@@ -262,14 +242,14 @@ class GramPool:
     """
 
     def __init__(self, y: np.ndarray, max_pairs: int = 200000) -> None:
-        if max_pairs < 0:
-            raise ValueError("max_pairs must be non-negative")
+        if max_pairs < 1:
+            raise ValueError("max_pairs must be at least 1")
         y = np.ascontiguousarray(np.asarray(y, dtype=float).ravel())
         self._y_row = y[None, :]
         self.max_pairs = int(max_pairs)
         #: columns are cheap (four scalars each) -- cap them at the pair
         #: budget so the two LRUs age out together
-        self.max_columns = max(1, int(max_pairs))
+        self.max_columns = self.max_pairs
         #: structural key -> [id, colsum, ydot, finite]
         self._columns: "OrderedDict[Tuple, list]" = OrderedDict()
         self._pairs: "OrderedDict[Tuple[int, int], float]" = OrderedDict()
@@ -358,35 +338,19 @@ class GramPool:
             while len(self._pairs) > self.max_pairs:
                 self._pairs.popitem(last=False)
 
-    def statistics_for(self, columns: Sequence[Tuple[Tuple, np.ndarray]]
-                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-        """``(gram, colsums, ydots, all_finite)`` for one individual.
-
-        Missing scalars are computed (and cached) on demand, so this is
-        correct standalone; inside ``evaluate_population`` the batched
-        :meth:`prepare` has already run and this is a pure gather.  The
-        gathered gram is bit-for-bit the raw gram of the stacked columns.
-        """
-        k = len(columns)
-        gram = np.empty((k, k))
-        colsums = np.empty(k)
-        ydots = np.empty(k)
-        finite = self.gather_into(columns, gram, colsums, ydots)
-        return gram, colsums, ydots, finite
-
     def gather_into(self, columns: Sequence[Tuple[Tuple, np.ndarray]],
                     gram_out: np.ndarray, colsums_out: np.ndarray,
                     ydots_out: np.ndarray) -> bool:
         """Gather one individual's statistics into preallocated arrays.
 
-        Returns whether every column is finite.  ``gram_out`` may be one
-        slice of a same-width group's ``(m, k, k)`` stack, which is how the
-        batched fit path avoids a copy per individual.  Missing scalars are
-        computed (and cached) inline with the canonical recipe, so the
-        gather is correct even without a prior :meth:`prepare`.  LRU
-        recency is deliberately *not* refreshed here: in the batched path
-        :meth:`prepare` just touched every entry this gather reads, and the
-        (rare) standalone path tolerates insertion-order aging.
+        Returns whether every column is finite.  ``gram_out`` is one slice
+        of a same-width group's ``(m, k, k)`` stack, which is how the
+        batched fit path avoids a copy per individual.  Scalars missing
+        here -- evicted since :meth:`prepare` by a pool smaller than the
+        batch -- are computed (and cached) inline with the canonical recipe,
+        so the values never depend on the pool size.  LRU recency is
+        deliberately *not* refreshed here: :meth:`prepare` just touched
+        every entry this gather reads.
         """
         k = len(columns)
         ids = []
@@ -394,9 +358,9 @@ class GramPool:
         for position, (key, column) in enumerate(columns):
             entry = self._columns.get(key)
             if entry is None:
-                # Unseen (standalone call) or evicted column: compute with
-                # the same canonical recipe -- the value is identical either
-                # way -- and cache it for the next lookup.
+                # Evicted column: compute with the same canonical recipe --
+                # the value is identical either way -- and cache it for the
+                # next lookup.
                 entry = self._single_statistics(column)
                 self._columns[key] = entry
                 while len(self._columns) > self.max_columns:
@@ -501,9 +465,12 @@ class CompiledColumnBackend:
 
 
 class BatchedResidualBackend:
-    """The prediction/residual step after each linear fit.
+    """The stacked prediction/residual pass that scores fitted models.
 
-    ``error(fit, basis_matrix)`` returns one individual's ``relative_rmse``
+    Training errors come straight out of the fit (see
+    :class:`GramFitBackend`); this backend scores fits on *other* data --
+    :func:`repro.core.model.batch_test_errors` runs every test set through
+    it.  ``error(fit, basis_matrix)`` returns one model's ``relative_rmse``
     against the bound target; ``errors(fits, basis_matrices)`` scores a
     *same-width* group (every fit has the same number of terms) in one
     stacked pass: predictions via
@@ -526,7 +493,7 @@ class BatchedResidualBackend:
         self.n_batched_fits = 0
 
     def error(self, fit: LinearFit, basis_matrix: np.ndarray) -> float:
-        """One individual: no batch to exploit, same canonical recipe."""
+        """One model: no batch to exploit, same canonical recipe."""
         return relative_rmse(self.y, fit.predict(basis_matrix),
                              self.normalization)
 
@@ -581,20 +548,15 @@ class PopulationEvaluator:
         #: always agree
         self._column_backend = CompiledColumnBackend(self.X, self.settings)
         self._basis_key = self._column_backend.basis_key
-        #: the column backend's TreeCompiler (introspection only)
-        self._compiler: TreeCompiler = self._column_backend.compiler
         #: column-cache key prefix: evaluators on byte-identical X *and* an
         #: implementation-identical function set share cached columns
-        #: through a common cache; different data or differently-bound
-        #: operator names never collide (see :func:`dataset_fingerprint`
-        #: and :func:`function_set_fingerprint`)
+        #: through a common cache.  Structural keys name operators only, so
+        #: the function set's fingerprint (operator names plus the
+        #: module/qualname of their implementations) keeps differently-bound
+        #: same-named operators from colliding (see
+        #: :func:`dataset_fingerprint`).
         self.dataset_key = (dataset_fingerprint(self.X),
-                            function_set_fingerprint(
-                                self.settings.function_set))
-        #: the post-fit prediction/residual step: one stacked pass per basis
-        #: width and generation
-        self._residual_backend = BatchedResidualBackend(self.y,
-                                                        self.normalization)
+                            self.settings.function_set.fingerprint())
         #: fits by gram-pool gather-and-solve
         self._fit_backend = GramFitBackend(self)
         #: total number of individual evaluations performed (for benchmarks)
@@ -608,16 +570,9 @@ class PopulationEvaluator:
         self.n_fit_requests = 0
         self.n_fits_computed = 0
         self._fit_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
-        #: keys prefilled by the current batch; their first assembly lookup is
-        #: accounted as a computation, not a cache hit (see _column_for)
-        self._fresh_keys: set = set()
-        #: batch-local precomputed gram fits keyed by basis-key tuple;
-        #: filled by :meth:`GramFitBackend.prepare_batch`
+        #: batch-local ``(fit, error)`` per basis-key tuple; filled by
+        #: :meth:`GramFitBackend.prepare_batch`
         self._batch_fit_results: Dict = {}
-        #: batch-local overlay of prefilled columns, consulted before the LRU
-        #: so that a cache smaller than one batch never forces recomputation
-        #: within the batch that just computed a column
-        self._batch_columns: Dict[Tuple, np.ndarray] = {}
         #: per-basis complexity by structural key (complexity is additive
         #: over bases and fully determined by the key + settings, so the sum
         #: over cached terms is bit-identical to model_complexity)
@@ -625,18 +580,9 @@ class PopulationEvaluator:
 
     # ------------------------------------------------------------------
     @property
-    def stats(self) -> CacheStats:
-        return self.cache.stats
-
-    @property
     def gram_pool(self) -> "GramPool":
         """The fit backend's cross-generation scalar pool."""
         return self._fit_backend.pool
-
-    @property
-    def residual_backend(self) -> BatchedResidualBackend:
-        """The residual backend (introspection/benchmarks)."""
-        return self._residual_backend
 
     @property
     def column_hit_rate(self) -> float:
@@ -654,97 +600,66 @@ class PopulationEvaluator:
         # repro-lint: allow[errstate] -- scalar int hit-rate statistic, no column arrays
         return 1.0 - self.n_fits_computed / self.n_fit_requests
 
-    def basis_column(self, basis: ProductTerm) -> np.ndarray:
-        """The (cached) evaluated column of one basis function."""
-        return self._column_for(self._basis_key(basis), basis)
-
     def basis_matrix(self, bases: Sequence[ProductTerm]) -> np.ndarray:
         """Assemble an ``(n_samples, n_bases)`` matrix from cached columns."""
-        return self._matrix_from_keys([self._basis_key(b) for b in bases], bases)
+        if not bases:
+            return np.zeros((self.X.shape[0], 0))
+        return np.column_stack([self._column_for(self._basis_key(basis), basis)
+                                for basis in bases])
 
     # ------------------------------------------------------------------
     def evaluate_individual(self, individual: Individual) -> Individual:
-        """Evaluate one individual through the caches (in place)."""
-        basis_keys = [self._basis_key(b) for b in individual.bases]
-        return self._evaluate_with_keys(individual, basis_keys)
+        """Evaluate one individual (in place): a population of one."""
+        self._evaluate_batch([individual])
+        return individual
 
     def evaluate_population(self, individuals: Sequence[Individual]
                             ) -> Sequence[Individual]:
-        """Evaluate a whole population (in place), batching uncached columns.
+        """Evaluate a whole population (in place), one fit batch.
 
         Individuals whose exact basis sequence was fitted before are served
-        from the fit cache.  For the rest, the unique uncached basis columns
-        are computed once, then each matrix is assembled from the cache and
-        fitted in population order.
+        from the fit cache; the rest are fitted together by
+        :meth:`GramFitBackend.prepare_batch` and their results distributed
+        in population order.
 
         Structural keys are computed exactly once per basis per call and
         threaded through every stage; hashing the trees is otherwise the
-        single largest cost of a fully cached evaluation.  However small
-        the column cache, the unique columns of *this* batch are computed
-        once via a batch-local overlay.
+        single largest cost of a fully cached evaluation.
         """
         # Recovery-test hook: a batch whose fit machinery blows up
         # (singular solve, backend bug, OOM) must surface as a structured
         # per-problem failure upstream, never abort a whole sweep.
         faults.raise_point("fit.exception", n=len(individuals))
+        return self._evaluate_batch(individuals)
+
+    # ------------------------------------------------------------------
+    def _evaluate_batch(self, individuals: Sequence[Individual]
+                        ) -> Sequence[Individual]:
         keyed = [(individual, [self._basis_key(b) for b in individual.bases])
                  for individual in individuals]
         pending = [(individual, keys) for individual, keys in keyed
                    if tuple(keys) not in self._fit_cache]
         try:
-            self._prefill_columns(pending)
             if pending:
-                # The fit backend batch-precomputes what the coming
-                # evaluations need: every missing normal-equation scalar in
-                # one vectorized pass, then one stacked LAPACK call per
-                # basis width.  The per-individual loop below only
-                # distributes precomputed results.
+                # Every fresh fit of the batch in one go: the missing
+                # normal-equation scalars in one vectorized pass, then one
+                # stacked LAPACK call and one prediction pass per basis
+                # width.  The loop below only distributes the results.
                 self._fit_backend.prepare_batch(pending)
             for individual, keys in keyed:
                 self._evaluate_with_keys(individual, keys)
         finally:
-            # Clear even on a mid-batch exception: leftover fresh keys would
-            # corrupt the hit-rate accounting of the next batch, and leftover
-            # overlay columns would outlive the cache's own budget.
-            self._fresh_keys.clear()
-            self._batch_columns.clear()
             self._batch_fit_results.clear()
         return individuals
 
-    # ------------------------------------------------------------------
     def _column_for(self, key: Tuple, basis: ProductTerm) -> np.ndarray:
         self.n_column_requests += 1
-        column = self._batch_columns.get(key)
-        if column is not None:
-            if key in self._fresh_keys:
-                # First assembly lookup of a column the batch prefill just
-                # computed: real work happened this batch, so it counts as a
-                # computation, not as cache reuse.
-                self._fresh_keys.discard(key)
-                self.n_columns_computed += 1
-            return column
         column = self.cache.get((self.dataset_key, key))
         if column is None:
-            column = self._evaluate_column(basis, key)
+            column = self._column_backend.evaluate(basis, key)
             self.n_columns_computed += 1
             self.cache.put((self.dataset_key, key), column)
         return column
-
-    def _evaluate_column(self, basis: ProductTerm, key: Tuple) -> np.ndarray:
-        """Compute one basis column through the column backend.
-
-        ``key`` is the caller's already-computed basis key -- the
-        ``(skeleton, params)`` pair, handed to the compiler so a miss never
-        re-walks the tree.
-        """
-        return self._column_backend.evaluate(basis, key)
-
-    def _matrix_from_keys(self, keys: List[Tuple],
-                          bases: Sequence[ProductTerm]) -> np.ndarray:
-        if not bases:
-            return np.zeros((self.X.shape[0], 0))
-        return np.column_stack([self._column_for(key, basis)
-                                for key, basis in zip(keys, bases, strict=True)])
 
     def _complexity_from_keys(self, keys: List[Tuple],
                               bases: Sequence[ProductTerm]) -> float:
@@ -791,47 +706,22 @@ class PopulationEvaluator:
             self._fit_cache.popitem(last=False)
         return individual
 
-    # ------------------------------------------------------------------
-    def _prefill_columns(self, keyed: Sequence[Tuple[Individual, List[Tuple]]]
-                         ) -> None:
-        """Compute every column the given individuals will need, once.
-
-        Results land in the batch-local overlay and the LRU, so assembly
-        never recomputes a column this batch produced -- even when the LRU
-        is smaller than the batch.
-        """
-        missing: "OrderedDict[Tuple, ProductTerm]" = OrderedDict()
-        for individual, keys in keyed:
-            for key, basis in zip(keys, individual.bases, strict=True):
-                if key not in missing and key not in self._batch_columns \
-                        and (self.dataset_key, key) not in self.cache:
-                    missing[key] = basis
-        if not missing:
-            return
-        # No counter bumps here: the assembly pass accounts each of these
-        # keys as a computation on its first lookup (via _fresh_keys), so a
-        # basis occurrence is counted exactly once per evaluation.
-        self._fresh_keys.update(missing)
-        for key, basis in missing.items():
-            column = self._evaluate_column(basis, key)
-            self._batch_columns[key] = column
-            self.cache.put((self.dataset_key, key), column)
-
 
 class GramFitBackend:
     """How the evaluator fits each individual's linear weights.
 
-    ``prepare_batch(pending)`` batch-precomputes the coming evaluations'
-    fits and ``evaluate(individual, basis_keys)`` sets ``fit``, ``error``,
+    ``prepare_batch(pending)`` fits the coming evaluations in batch and
+    ``evaluate(individual, basis_keys)`` sets ``fit``, ``error``,
     ``complexity`` and ``normalization`` on the individual in place.  Fits
     gather canonical normal-equation scalars from a cross-generation
     :class:`GramPool` instead of re-reducing ``n_samples``-long columns, and
-    whole batches solve in stacked LAPACK calls.  Bit-for-bit what
+    each same-width group solves in stacked LAPACK calls.  Bit-for-bit what
     :func:`evaluate_individual_inplace` (one full
     :func:`~repro.regression.least_squares.fit_linear` per individual)
     sets: the scalars come from the same
     :func:`~repro.regression.least_squares.pair_dots` recipe no matter when
-    or in which batch they were first computed.
+    or in which batch they were first computed, and the training errors
+    come from the same canonical prediction rows.
     """
 
     def __init__(self, evaluator: PopulationEvaluator) -> None:
@@ -846,61 +736,24 @@ class GramFitBackend:
     def evaluate(self, individual: Individual,
                  basis_keys: List[Tuple]) -> None:
         ev = self.evaluator
-        precomputed = ev._batch_fit_results.get(tuple(basis_keys))
-        if precomputed is not None:
-            # Sharing one frozen LinearFit across structurally identical
-            # individuals mirrors what the fit cache already does.
-            fit, error = precomputed
-            individual.complexity = ev._complexity_from_keys(
-                basis_keys, individual.bases)
-            individual.normalization = ev.normalization
-            individual.fit = fit
-            individual.error = error
-            return
-        self._evaluate_with_gram(individual, basis_keys)
-
-    def _evaluate_with_gram(self, individual: Individual,
-                            basis_keys: List[Tuple]) -> Individual:
-        """Gram-pool fit: gather normal equations, small solve, score.
-
-        Mirrors :func:`evaluate_individual_inplace` step for step -- same
-        complexity, normalization, feasibility decision, fit and error, each
-        produced by a bit-for-bit equivalent recipe -- but the only
-        ``n_samples``-long work left is assembling the basis matrix for the
-        final prediction/residual pass.
-        """
-        ev = self.evaluator
-        bases = individual.bases
-        individual.complexity = ev._complexity_from_keys(basis_keys, bases)
+        batch_key = tuple(basis_keys)
+        if batch_key not in ev._batch_fit_results:
+            # A fit-cache hit when the batch began, evicted since by a fit
+            # cache smaller than the batch: refit it alone, same path.
+            self.prepare_batch([(individual, basis_keys)])
+        # Sharing one frozen LinearFit across structurally identical
+        # individuals mirrors what the fit cache already does.
+        fit, error = ev._batch_fit_results[batch_key]
+        individual.complexity = ev._complexity_from_keys(
+            basis_keys, individual.bases)
         individual.normalization = ev.normalization
-        columns = [ev._column_for(key, basis)
-                   for key, basis in zip(basis_keys, bases, strict=True)]
-        gram, colsums, ydots, finite = self.pool.statistics_for(
-            list(zip(basis_keys, columns, strict=True)))
-        if not (finite and self._y_finite):
-            # Exactly fit_linear's non-finite rejection, decided from the
-            # pool's per-column finite flags instead of a full-matrix scan.
-            individual.fit = None
-            individual.error = float("inf")
-            return individual
-        if columns:
-            basis_matrix = np.column_stack(columns)
-        else:
-            basis_matrix = np.zeros((ev.X.shape[0], 0))
-        fit = fit_linear_from_gram(gram, colsums, ydots, self._y_sum,
-                                   basis_matrix, ev.y)
-        if fit is None:
-            individual.fit = None
-            individual.error = float("inf")
-            return individual
         individual.fit = fit
-        individual.error = ev._residual_backend.error(fit, basis_matrix)
-        return individual
+        individual.error = error
 
     # ------------------------------------------------------------------
     def prepare_batch(self, pending: Sequence[Tuple[Individual, List[Tuple]]]
                       ) -> None:
-        """Solve the batch's unique fresh fits in stacked LAPACK calls.
+        """Fit the batch's unique fresh individuals, one group per width.
 
         Pending individuals are deduplicated by basis-key tuple (duplicates
         share one fit, exactly as the fit cache would have arranged) and
@@ -909,23 +762,29 @@ class GramFitBackend:
         below.  Each same-basis-count group's normal equations are then
         solved by one
         :func:`~repro.regression.least_squares.fit_linear_from_gram_batch`
-        call.  Results land in the evaluator's ``_batch_fit_results`` for
-        the per-individual loop to distribute -- every value bit-for-bit
-        what the scalar path would have produced.
+        call, whose stacked prediction rows also yield the group's training
+        errors (:func:`~repro.data.metrics.relative_rmse_rows`).  An
+        individual without bases gets the intercept-only fit.  Results land
+        in the evaluator's ``_batch_fit_results`` as ``(fit, error)`` for
+        the per-individual loop to distribute.
         """
         ev = self.evaluator
+        results = ev._batch_fit_results
         groups: Dict[int, List[Tuple]] = {}
         queued = set()
         prepared_columns = []
         for individual, keys in pending:
             batch_key = tuple(keys)
-            if batch_key in queued or not keys:
-                # Duplicates share the first occurrence's fit; empty
-                # individuals take the (cheap) scalar intercept-only path.
+            if batch_key in queued:
+                # Duplicates share the first occurrence's fit.
                 continue
             queued.add(batch_key)
+            if not keys:
+                results[batch_key] = self._intercept_only()
+                continue
             keyed_columns = [(key, ev._column_for(key, basis))
-                             for key, basis in zip(keys, individual.bases, strict=True)]
+                             for key, basis in zip(keys, individual.bases,
+                                                   strict=True)]
             prepared_columns.append(keyed_columns)
             groups.setdefault(len(keys), []).append(
                 (batch_key, keyed_columns))
@@ -947,42 +806,32 @@ class GramFitBackend:
                     [column for _key, column in keyed_columns]))
             if not self._y_finite:
                 finite_rows[:] = False
-            if finite_rows.all():
-                solvable = np.arange(n_items)
-            else:
-                # Non-finite items would poison the stacked LAPACK calls;
-                # they are infeasible by fit_linear's rules anyway.
-                solvable = np.flatnonzero(finite_rows)
-                for position in np.flatnonzero(~finite_rows):
-                    ev._batch_fit_results[items[position][0]] = \
-                        (None, float("inf"))
-                if solvable.size == 0:
-                    continue
+            # Non-finite items would poison the stacked LAPACK calls; they
+            # are infeasible by fit_linear's rules anyway.
+            for position in np.flatnonzero(~finite_rows):
+                results[items[position][0]] = (None, float("inf"))
+            solvable = np.flatnonzero(finite_rows)
+            if solvable.size == 0:
+                continue
+            if solvable.size < n_items:
                 grams = grams[solvable]
                 colsums = colsums[solvable]
                 ydots = ydots[solvable]
-            solvable_matrices = [basis_matrices[i] for i in solvable]
-            fits = fit_linear_from_gram_batch(grams, colsums, ydots,
-                                              self._y_sum, solvable_matrices,
-                                              ev.y)
-            # The group's prediction/residual step scores the whole
-            # same-width group in one stacked pass (the canonical recipes
-            # are batch-shape independent).
-            scored_positions = []
-            scored_fits: List[LinearFit] = []
-            scored_matrices = []
-            for position, fit, basis_matrix in zip(solvable, fits,
-                                                   solvable_matrices, strict=True):
-                if fit is None:
-                    ev._batch_fit_results[items[position][0]] = \
-                        (None, float("inf"))
-                    continue
-                scored_positions.append(position)
-                scored_fits.append(fit)
-                scored_matrices.append(basis_matrix)
-            if not scored_fits:
-                continue
-            errors = ev._residual_backend.errors(scored_fits, scored_matrices)
-            for position, fit, error in zip(scored_positions, scored_fits,
-                                            errors, strict=True):
-                ev._batch_fit_results[items[position][0]] = (fit, error)
+            fits, predictions = fit_linear_from_gram_batch(
+                grams, colsums, ydots, self._y_sum,
+                [basis_matrices[i] for i in solvable], ev.y)
+            errors = relative_rmse_rows(ev.y, predictions, ev.normalization)
+            for position, fit, error in zip(solvable, fits, errors,
+                                            strict=True):
+                results[items[position][0]] = \
+                    (None, float("inf")) if fit is None else (fit, float(error))
+
+    def _intercept_only(self) -> Tuple[Optional[LinearFit], float]:
+        """``(fit, error)`` of an individual without basis functions."""
+        ev = self.evaluator
+        basis_matrix = np.zeros((ev.X.shape[0], 0))
+        fit = fit_linear(basis_matrix, ev.y)
+        if fit is None:
+            return None, float("inf")
+        return fit, relative_rmse(ev.y, fit.predict(basis_matrix),
+                                  ev.normalization)

@@ -25,7 +25,35 @@ from repro.core.pareto import nondominated_filter
 from repro.data.metrics import q_tc
 from repro.regression.least_squares import LinearFit
 
-__all__ = ["SymbolicModel", "TradeoffSet", "batch_test_errors"]
+__all__ = ["SymbolicModel", "TradeoffSet", "batch_test_errors",
+           "front_basis_matrices"]
+
+
+def front_basis_matrices(models: Sequence, X: np.ndarray) -> List[np.ndarray]:
+    """One basis matrix per model, each distinct basis evaluated once.
+
+    ``models`` may be :class:`Individual` or :class:`SymbolicModel`
+    instances -- anything carrying ``bases``.  Front models share basis
+    functions heavily, so every unique basis (by structural key) is
+    evaluated once through :func:`evaluate_basis_column` and each model's
+    matrix is assembled from the shared columns.  This is the column
+    routine of every front: test scoring (:func:`batch_test_errors`),
+    artifact prediction and rescoring (:mod:`repro.core.artifact`).
+    """
+    columns: dict = {}
+    matrices: List[np.ndarray] = []
+    for model in models:
+        assembled = []
+        for basis in model.bases:
+            key = structural_key(basis)
+            column = columns.get(key)
+            if column is None:
+                column = evaluate_basis_column(basis, X)
+                columns[key] = column
+            assembled.append(column)
+        matrices.append(np.column_stack(assembled) if assembled
+                        else np.zeros((X.shape[0], 0)))
+    return matrices
 
 
 def batch_test_errors(individuals: Sequence, X: np.ndarray,
@@ -35,16 +63,15 @@ def batch_test_errors(individuals: Sequence, X: np.ndarray,
     ``individuals`` may be :class:`Individual` or :class:`SymbolicModel`
     instances -- anything carrying ``fit`` and ``bases``.
 
-    This is the test-error analogue of the evaluator's residual engine:
-    unique basis columns are evaluated once across all individuals (front
-    models share basis functions heavily), matrices are assembled from the
-    shared columns, and same-width groups are scored through
-    :class:`~repro.core.evaluation.BatchedResidualBackend` -- one stacked
-    prediction/residual pass per width.  Every returned value is bit-for-bit what the
-    scalar path (``q_tc(y, individual.predict(X), normalization)``) returns:
-    columns come from the same :func:`evaluate_basis_column`, predictions
-    from the same canonical accumulation, and the row-stacked residual
-    reduction is batch-shape independent.
+    Matrices come from :func:`front_basis_matrices` (unique basis columns
+    evaluated once across all individuals) and same-width groups are scored
+    through :class:`~repro.core.evaluation.BatchedResidualBackend` -- one
+    stacked prediction/residual pass per width.  Every returned value is
+    bit-for-bit what the scalar path (``q_tc(y, individual.predict(X),
+    normalization)``) returns: columns come from the same
+    :func:`evaluate_basis_column`, predictions from the same canonical
+    accumulation, and the row-stacked residual reduction is batch-shape
+    independent.
 
     All individuals must carry a successful fit; ``normalization`` is the
     *training*-data range shared by the individuals (the paper's qtc
@@ -56,23 +83,11 @@ def batch_test_errors(individuals: Sequence, X: np.ndarray,
     # not load the population evaluator until something is scored.
     from repro.core.evaluation import BatchedResidualBackend
 
+    if any(individual.fit is None for individual in individuals):
+        raise ValueError(
+            "batch_test_errors requires successfully fitted individuals")
     residual = BatchedResidualBackend(y, normalization)
-    columns: dict = {}
-    matrices: List[np.ndarray] = []
-    for individual in individuals:
-        if individual.fit is None:
-            raise ValueError(
-                "batch_test_errors requires successfully fitted individuals")
-        assembled = []
-        for basis in individual.bases:
-            key = structural_key(basis)
-            column = columns.get(key)
-            if column is None:
-                column = evaluate_basis_column(basis, X)
-                columns[key] = column
-            assembled.append(column)
-        matrices.append(np.column_stack(assembled) if assembled
-                        else np.zeros((X.shape[0], 0)))
+    matrices = front_basis_matrices(individuals, X)
     groups: dict = {}
     for index, individual in enumerate(individuals):
         groups.setdefault(individual.fit.n_terms, []).append(index)

@@ -200,9 +200,13 @@ class Problem:
 
 def _read_csv(path, delimiter: str):
     """``(header, data_rows)`` of a CSV file (header row required)."""
-    with open(path, "r", newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        rows = [row for row in reader if row and any(c.strip() for c in row)]
+    try:
+        with open(path, "r", newline="") as handle:
+            reader = csv.reader(handle, delimiter=delimiter)
+            rows = [row for row in reader
+                    if row and any(c.strip() for c in row)]
+    except UnicodeDecodeError as error:
+        raise ValueError(f"{path} is not a text CSV file ({error})") from None
     if len(rows) < 2:
         raise ValueError(f"{path} needs a header row and at least one sample")
     header = tuple(cell.strip() for cell in rows[0])

@@ -14,7 +14,6 @@ from repro.regression.least_squares import (
     LinearFit,
     design_matrix,
     fit_linear,
-    fit_linear_from_gram,
     pair_dots,
     predict_linear,
     predict_linear_batch,
@@ -36,7 +35,6 @@ __all__ = [
     "LinearFit",
     "design_matrix",
     "fit_linear",
-    "fit_linear_from_gram",
     "pair_dots",
     "raw_normal_statistics",
     "predict_linear",

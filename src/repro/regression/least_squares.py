@@ -11,10 +11,12 @@ Two entry points produce *bit-for-bit identical* fits:
 
 * :func:`fit_linear` -- takes the basis matrix and computes its own normal
   equations;
-* :func:`fit_linear_from_gram` -- takes precomputed raw cross-products (as
-  cached and batched by the generation-level gram pool in
-  :mod:`repro.core.evaluation`) and skips every per-fit pass over
-  ``n_samples`` except the final prediction/residual step.
+* :func:`fit_linear_from_gram_batch` -- solves a same-width group of fits
+  from precomputed raw cross-products (as cached and batched by the
+  generation-level gram pool in :mod:`repro.core.evaluation`) in stacked
+  LAPACK calls, and returns the group's stacked predictions with the fits:
+  the one pass over ``n_samples`` that gives each fit its residual sum of
+  squares also gives the caller its training error.
 
 The identity holds because both paths share one canonical dot-product
 recipe, :func:`pair_dots`: columns are stacked as *rows* of a C-contiguous
@@ -35,10 +37,10 @@ how many individuals share the batch), and there is no cross-sample or
 cross-term reduction at all.  :func:`predict_linear_batch` runs the same
 left-to-right accumulation over an ``(m, n, k)`` stack of same-width basis
 matrices -- each output row is bit-for-bit the row :func:`predict_linear`
-would produce alone, which is what lets the generation-batched residual
-engine (:class:`repro.core.evaluation.BatchedResidualBackend`) replace
-per-individual prediction/residual passes with one stacked pass per basis
-width.  The residual reduction then goes through
+would produce alone, which is what lets the batched gram fit (and
+:class:`repro.core.evaluation.BatchedResidualBackend`'s test-set scoring)
+replace per-individual prediction/residual passes with one stacked pass per
+basis width.  The residual reduction then goes through
 :func:`repro.data.metrics.relative_rmse_rows`, a contiguous-last-axis
 pairwise summation with the same row-independence property as
 :func:`pair_dots`.
@@ -51,7 +53,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["LinearFit", "design_matrix", "fit_linear", "fit_linear_from_gram",
+__all__ = ["LinearFit", "design_matrix", "fit_linear",
            "fit_linear_from_gram_batch", "pair_dots", "raw_normal_statistics",
            "predict_linear", "predict_linear_batch"]
 
@@ -98,7 +100,8 @@ def pair_dots(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     3000 pairs is bit-for-bit the value computed alone.  Every normal-equation
     entry in this module (and in the gram pool of
     :mod:`repro.core.evaluation`) goes through this one recipe; that is the
-    entire basis of the ``fit_linear`` == ``fit_linear_from_gram`` guarantee.
+    entire basis of the ``fit_linear`` == ``fit_linear_from_gram_batch``
+    guarantee.
     """
     return (rows_a * rows_b).sum(axis=1)
 
@@ -147,7 +150,7 @@ def _residual_sum_of_squares(residual_rows: np.ndarray) -> np.ndarray:
 
 
 def _intercept_only_fit(y: np.ndarray, include_intercept: bool) -> LinearFit:
-    """The zero-basis-function fit (shared by both entry points)."""
+    """The zero-basis-function fit of :func:`fit_linear`."""
     intercept = float(np.mean(y)) if include_intercept else 0.0
     residuals = y - intercept
     rss = float(_residual_sum_of_squares(residuals[np.newaxis, :])[0])
@@ -159,15 +162,17 @@ def _intercept_only_fit(y: np.ndarray, include_intercept: bool) -> LinearFit:
 def _solve_from_raw(gram: np.ndarray, colsums: np.ndarray, ydots: np.ndarray,
                     y_sum: float, basis_matrix: np.ndarray, y: np.ndarray,
                     ridge: float, include_intercept: bool
-                    ) -> Optional[LinearFit]:
+                    ) -> Tuple[Optional[LinearFit], Optional[np.ndarray]]:
     """Shared solve: scale, ridge, solve/fallback, unscale, score.
 
-    The raw blocks must come from :func:`raw_normal_statistics` or from the
-    gram pool's per-pair cache -- both use :func:`pair_dots`, so this
-    function cannot tell (and does not care) which path produced them.
-    ``basis_matrix`` is still required: the singular fallback and the
-    residual computation intentionally run on the full data so the reported
-    error is the exact quantity the rest of the system has always used.
+    Returns ``(fit, predictions)``, or ``(None, None)`` for a non-finite
+    solution.  The raw blocks must come from :func:`raw_normal_statistics`
+    or from the gram pool's per-pair cache -- both use :func:`pair_dots`,
+    so this function cannot tell (and does not care) which path produced
+    them.  ``basis_matrix`` is still required: the singular fallback and
+    the residual computation intentionally run on the full data so the
+    reported error is the exact quantity the rest of the system has always
+    used.
     """
     n_samples, n_bases = basis_matrix.shape
     # Scale columns to unit RMS so the ridge term acts uniformly.
@@ -223,7 +228,7 @@ def _solve_from_raw(gram: np.ndarray, colsums: np.ndarray, ydots: np.ndarray,
         solution, *_ = np.linalg.lstsq(design, y, rcond=None)
         singular = True
     if not np.all(np.isfinite(solution)):
-        return None
+        return None, None
 
     if include_intercept:
         intercept = float(solution[0])
@@ -239,9 +244,9 @@ def _solve_from_raw(gram: np.ndarray, colsums: np.ndarray, ydots: np.ndarray,
     predictions = _accumulate_predictions(intercept, coefficients, basis_matrix)
     residuals = y - predictions
     rss = float(_residual_sum_of_squares(residuals[None, :])[0])
-    return LinearFit(intercept=intercept, coefficients=coefficients,
-                     residual_sum_of_squares=rss,
-                     rank=rank, singular=singular)
+    fit = LinearFit(intercept=intercept, coefficients=coefficients,
+                    residual_sum_of_squares=rss, rank=rank, singular=singular)
+    return fit, predictions
 
 
 def fit_linear(basis_matrix: np.ndarray, y: np.ndarray,
@@ -285,66 +290,40 @@ def fit_linear(basis_matrix: np.ndarray, y: np.ndarray,
         return _intercept_only_fit(y, include_intercept)
 
     gram, colsums, ydots = raw_normal_statistics(basis_matrix, y)
-    return _solve_from_raw(gram, colsums, ydots, float(y.sum()),
-                           basis_matrix, y, ridge, include_intercept)
-
-
-def fit_linear_from_gram(gram: np.ndarray, colsums: np.ndarray,
-                         ydots: np.ndarray, y_sum: float,
-                         basis_matrix: np.ndarray, y: np.ndarray,
-                         ridge: float = 1e-10,
-                         include_intercept: bool = True
-                         ) -> Optional[LinearFit]:
-    """Fit from precomputed raw cross-products -- bit-for-bit ``fit_linear``.
-
-    Parameters
-    ----------
-    gram, colsums, ydots:
-        The raw normal-equation blocks of ``basis_matrix``: columnwise dot
-        products, column sums and column--target dots, each computed by the
-        canonical :func:`pair_dots` recipe (see
-        :func:`raw_normal_statistics`; the gram pool in
-        :mod:`repro.core.evaluation` caches exactly these scalars per basis
-        column/pair and gathers them here without touching ``n_samples``).
-    y_sum:
-        ``float(y.sum())`` -- cached once per dataset by the pool.
-    basis_matrix, y:
-        Still needed for the singular-``lstsq`` fallback and the final
-        residual pass.  The caller must have established finiteness of both
-        (``fit_linear`` scans; the evaluator keeps per-column finite flags)
-        -- this function assumes it, which is where the per-fit full-matrix
-        ``isfinite`` scan is saved.
-    """
-    basis_matrix = np.asarray(basis_matrix, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if basis_matrix.shape[1] == 0:
-        return _intercept_only_fit(y, include_intercept)
-    return _solve_from_raw(np.asarray(gram, dtype=float),
-                           np.asarray(colsums, dtype=float),
-                           np.asarray(ydots, dtype=float),
-                           float(y_sum), basis_matrix, y, ridge,
-                           include_intercept)
+    fit, _predictions = _solve_from_raw(gram, colsums, ydots, float(y.sum()),
+                                        basis_matrix, y, ridge,
+                                        include_intercept)
+    return fit
 
 
 def fit_linear_from_gram_batch(grams: np.ndarray, colsums: np.ndarray,
                                ydots: np.ndarray, y_sum: float,
                                basis_matrices: Sequence[np.ndarray],
                                y: np.ndarray, ridge: float = 1e-10
-                               ) -> List[Optional[LinearFit]]:
-    """Batch of same-width :func:`fit_linear_from_gram` fits, one LAPACK call.
+                               ) -> Tuple[List[Optional[LinearFit]], np.ndarray]:
+    """Same-width fits from raw cross-products -- bit-for-bit ``fit_linear``.
 
     ``grams`` is an ``(m, k, k)`` stack of raw grams, ``colsums``/``ydots``
-    the matching ``(m, k)`` stacks, and ``basis_matrices`` the ``m``
-    assembled matrices (needed, as always, for the prediction/residual
-    pass); all items share the same ``y``.  Requires ``k >= 1`` and an
-    intercept (the evaluator's case).
+    the matching ``(m, k)`` stacks -- the canonical :func:`pair_dots`
+    scalars of :func:`raw_normal_statistics`, which the gram pool in
+    :mod:`repro.core.evaluation` caches per basis column/pair and gathers
+    here without touching ``n_samples`` -- and ``basis_matrices`` the ``m``
+    assembled matrices; all items share the same ``y`` and ``y_sum``
+    (``float(y.sum())``).  Requires ``k >= 1`` and an intercept (the
+    evaluator's case).  The caller must have established that the matrices
+    and ``y`` are finite (the evaluator keeps per-column finite flags), which
+    is where ``fit_linear``'s full-matrix ``isfinite`` scan is saved.
 
-    Every per-item result is bit-for-bit what :func:`fit_linear_from_gram`
-    returns: the scaling/ridge arithmetic is elementwise (batching cannot
-    change it) and the stacked ``eigvalsh``/``solve`` gufuncs run the same
-    LAPACK routine per item as the scalar calls.  A singular item aborts
-    the whole stacked solve, so that (rare) case falls back to scalar fits
-    item by item -- same results, just slower.
+    Returns ``(fits, predictions)``: ``predictions`` is the ``(m, n_samples)``
+    stack of each fit's training predictions -- the rows its residual sum of
+    squares came from -- and a ``None`` fit's row is NaN.
+
+    Every per-item result is bit-for-bit what ``fit_linear`` returns on the
+    item's matrix: the scaling/ridge arithmetic is elementwise (batching
+    cannot change it) and the stacked ``eigvalsh``/``solve`` gufuncs run the
+    same LAPACK routine per item as the one-matrix calls.  A singular item
+    aborts the whole stacked solve, so that (rare) case solves item by item
+    -- same results, just slower.
     """
     y = np.asarray(y, dtype=float).ravel()
     m, k = colsums.shape
@@ -353,10 +332,17 @@ def fit_linear_from_gram_batch(grams: np.ndarray, colsums: np.ndarray,
     n_samples = y.shape[0]
     size = k + 1
 
-    def _scalar_fallback() -> List[Optional[LinearFit]]:
-        return [fit_linear_from_gram(grams[i], colsums[i], ydots[i], y_sum,
-                                     basis_matrices[i], y, ridge)
-                for i in range(m)]
+    def _item_by_item() -> Tuple[List[Optional[LinearFit]], np.ndarray]:
+        fits: List[Optional[LinearFit]] = []
+        predictions = np.full((m, n_samples), np.nan)
+        for i in range(m):
+            fit, row = _solve_from_raw(
+                grams[i], colsums[i], ydots[i], float(y_sum),
+                np.asarray(basis_matrices[i], dtype=float), y, ridge, True)
+            fits.append(fit)
+            if fit is not None:
+                predictions[i] = row
+        return fits, predictions
 
     base_indices = np.arange(k)
     scales = np.sqrt(grams[:, base_indices, base_indices] / n_samples)
@@ -379,7 +365,7 @@ def fit_linear_from_gram_batch(grams: np.ndarray, colsums: np.ndarray,
     try:
         spectra = np.abs(np.linalg.eigvalsh(scaled_gram))
     except np.linalg.LinAlgError:  # pragma: no cover - non-finite gram
-        return _scalar_fallback()
+        return _item_by_item()
     tolerances = spectra.max(axis=-1) * size * np.finfo(np.float64).eps
     ranks = np.count_nonzero(spectra > tolerances[:, None], axis=-1)
     traces = scaled_gram[:, diagonal_indices, diagonal_indices].sum(axis=1)
@@ -389,32 +375,32 @@ def fit_linear_from_gram_batch(grams: np.ndarray, colsums: np.ndarray,
     try:
         solutions = np.linalg.solve(scaled_gram, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return _scalar_fallback()
+        return _item_by_item()
 
-    finite_rows = np.isfinite(solutions).all(axis=1)
     coefficient_rows = solutions[:, 1:] / scales
-    finite_indices = np.flatnonzero(finite_rows)
+    finite_indices = np.flatnonzero(np.isfinite(solutions).all(axis=1))
     fits: List[Optional[LinearFit]] = [None] * m
     if finite_indices.size == 0:
-        return fits
+        return fits, np.full((m, n_samples), np.nan)
     # One stacked canonical prediction pass plus one row-stacked residual
-    # reduction for the whole group -- each row bit-for-bit the scalar
-    # path's value (see the module docstring), so the only remaining
-    # per-fit n_samples-scaled work in this module is gone.
+    # reduction for the whole group -- each row bit-for-bit the one-matrix
+    # path's value (see the module docstring).
     stacked = np.stack([np.asarray(basis_matrices[i], dtype=float)
                         for i in finite_indices])
-    predictions = predict_linear_batch(solutions[finite_indices, 0],
-                                       coefficient_rows[finite_indices],
-                                       stacked)
-    residual_rows = y[None, :] - predictions
-    rss_rows = _residual_sum_of_squares(residual_rows)
+    rows = predict_linear_batch(solutions[finite_indices, 0],
+                                coefficient_rows[finite_indices], stacked)
+    rss_rows = _residual_sum_of_squares(y[None, :] - rows)
     for row, i in enumerate(finite_indices):
         fits[i] = LinearFit(
             intercept=float(solutions[i, 0]),
             coefficients=coefficient_rows[i],
             residual_sum_of_squares=float(rss_rows[row]),
             rank=int(ranks[i]), singular=False)
-    return fits
+    if finite_indices.size == m:
+        return fits, rows
+    predictions = np.full((m, n_samples), np.nan)
+    predictions[finite_indices] = rows
+    return fits, predictions
 
 
 def predict_linear(fit: LinearFit, basis_matrix: np.ndarray) -> np.ndarray:

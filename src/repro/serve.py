@@ -18,9 +18,10 @@ Endpoints (all JSON):
   (``"test"``/``"train"``), the
   :meth:`~repro.core.artifact.FrozenFront.select` contract.  With
   ``"all_models": true`` the response carries one prediction row per
-  frozen model.  Predictions run through the batched kernel path
-  (:func:`~repro.regression.least_squares.predict_linear_batch`) and are
-  bit-identical to the originating run's models.
+  frozen model.  Predictions run through the artifact's batched
+  prediction path (shared basis columns, one
+  :func:`~repro.regression.least_squares.predict_linear_batch` pass per
+  basis width) and are bit-identical to the originating run's models.
 * ``POST /rescore`` -- body ``{"X": ..., "y": ...}``: per-model relative
   RMS errors on the posted data, bit-for-bit
   :func:`repro.core.report.rescore_models` (asserted by the test suite
@@ -28,10 +29,17 @@ Endpoints (all JSON):
 
 Requests whose feature count disagrees with the artifact, or whose ``X``
 or ``y`` holds a non-finite value (``NaN``, ``Infinity``, ``"nan"``,
-``1e400``, ...), are rejected with HTTP 400, as is any body that is not a
-JSON object (including one nested too deeply to parse).  Everything else
-about the posted data is the caller's business -- a frozen front exists to
-be applied to data it has never seen.
+``1e400``, an integer beyond float range, ...), are rejected with HTTP 400,
+as is any body that is not a JSON object (including one nested too deeply
+to parse) and a missing, negative or non-integer ``Content-Length``.  A
+``Content-Length`` above :data:`MAX_BODY_BYTES` is answered 413 without
+reading the body, and a client that stalls mid-body for
+:data:`BODY_TIMEOUT_S` seconds gets a 408; after any of these framing
+errors the connection closes.  The idle wait between kept-alive requests
+has no limit.  Any other exception a handler raises becomes a JSON 500, so
+a client never sees a dropped connection.  Everything else about the
+posted data is the caller's business -- a frozen front exists to be
+applied to data it has never seen.
 """
 
 from __future__ import annotations
@@ -47,7 +55,15 @@ import numpy as np
 
 from repro.core.artifact import FrozenFront, load_front
 
-__all__ = ["RequestProfiler", "FrontHTTPServer", "make_server", "serve_front"]
+__all__ = ["RequestProfiler", "FrontHTTPServer", "make_server", "serve_front",
+           "MAX_BODY_BYTES", "BODY_TIMEOUT_S"]
+
+#: Largest request body read, in bytes.  The biggest real request -- 1000
+#: rows x 13 features -- is about 0.3 MB of JSON.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Seconds a client may take to deliver the body it declared.
+BODY_TIMEOUT_S = 30.0
 
 
 def _percentile_ms(sorted_seconds: List[float], fraction: float) -> float:
@@ -145,6 +161,21 @@ class FrontHTTPServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
 
+class _RequestError(Exception):
+    """A request answered with ``status`` and a JSON error message.
+
+    ``close`` ends the connection after the response: set when the body's
+    framing is unknown (or unread), so leftover bytes cannot be parsed as
+    the next request.
+    """
+
+    def __init__(self, message: str, status: int = 400,
+                 close: bool = False) -> None:
+        super().__init__(message)
+        self.status = status
+        self.close = close
+
+
 class _FrontRequestHandler(BaseHTTPRequestHandler):
     server_version = "caffeine-serve/1"
     protocol_version = "HTTP/1.1"
@@ -154,20 +185,76 @@ class _FrontRequestHandler(BaseHTTPRequestHandler):
         if not self.server.quiet:  # pragma: no cover - cosmetic
             super().log_message(format, *args)
 
-    def _send_json(self, payload: dict, status: int = 200) -> None:
+    def _send_json(self, payload: dict, status: int = 200,
+                   close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
+            self.close_connection = True
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
-            raise ValueError("request body is empty (send a JSON object)")
+    def _respond(self, route) -> None:
+        """Send ``route()``'s payload, or a JSON error for whatever it raised."""
         try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
+            response = route()
+        except _RequestError as error:
+            self._send_json({"error": str(error)}, status=error.status,
+                            close=error.close)
+        except (ValueError, TypeError) as error:
+            self._send_json({"error": str(error)}, status=400)
+        except Exception as error:
+            # A handler bug: log its traceback the way socketserver logs
+            # one, and answer instead of dropping the connection.
+            self.server.handle_error(self.request, self.client_address)
+            self._send_json({"error": f"internal error: "
+                                      f"{type(error).__name__}: {error}"},
+                            status=500, close=True)
+        else:
+            self._send_json(response)
+
+    def _content_length(self) -> int:
+        declared = self.headers.get("Content-Length")
+        if declared is None:
+            raise _RequestError("request has no Content-Length (send a JSON "
+                                "object with its length)", close=True)
+        try:
+            length = int(declared)
+        except ValueError:
+            raise _RequestError(f"Content-Length {declared!r} is not an "
+                                "integer", close=True) from None
+        if length < 0:
+            raise _RequestError(f"Content-Length {length} is negative",
+                                close=True)
+        if length > MAX_BODY_BYTES:
+            raise _RequestError(f"request body of {length} bytes exceeds the "
+                                f"{MAX_BODY_BYTES}-byte limit", status=413,
+                                close=True)
+        if length == 0:
+            raise _RequestError("request body is empty (send a JSON object)")
+        return length
+
+    def _read_json(self) -> dict:
+        length = self._content_length()
+        # Only the body read is timed: the idle wait for the next request
+        # on a kept-alive connection stays unbounded.
+        self.connection.settimeout(BODY_TIMEOUT_S)
+        try:
+            body = self.rfile.read(length)
+        except TimeoutError:
+            raise _RequestError(f"request body not received within "
+                                f"{BODY_TIMEOUT_S:g} s", status=408,
+                                close=True) from None
+        finally:
+            self.connection.settimeout(None)
+        if len(body) < length:
+            raise _RequestError("request body ended before its "
+                                "Content-Length", close=True)
+        try:
+            payload = json.loads(body.decode("utf-8"))
         except RecursionError:
             raise ValueError("request body is nested too deeply") from None
         if not isinstance(payload, dict):
@@ -179,10 +266,14 @@ class _FrontRequestHandler(BaseHTTPRequestHandler):
         values = payload.get(key)
         if values is None:
             raise ValueError(f"request body is missing {key!r}")
-        array = np.asarray(values, dtype=float)
+        message = (f"{key!r} holds non-finite values (NaN, infinity or "
+                   "beyond float range); send finite numbers")
+        try:
+            array = np.asarray(values, dtype=float)
+        except OverflowError:  # an integer literal beyond float range
+            raise ValueError(message) from None
         if not np.isfinite(array).all():
-            raise ValueError(f"{key!r} holds non-finite values "
-                             "(NaN or infinity); send finite numbers")
+            raise ValueError(message)
         return array
 
     @classmethod
@@ -194,56 +285,50 @@ class _FrontRequestHandler(BaseHTTPRequestHandler):
 
     # -- routes --------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server contract)
+        self._respond(self._get)
+
+    def do_POST(self) -> None:  # noqa: N802 (http.server contract)
+        self._respond(self._post)
+
+    def _get(self) -> dict:
         front = self.server.front
         if self.path == "/healthz":
             stats = self.server.profiler.snapshot()
-            self._send_json({
+            return {
                 "status": "ok",
                 "target": front.target_name,
                 "n_models": front.n_models,
                 "n_variables": front.n_variables,
                 "cold_load_ms": stats["metrics"].get("cold_load_ms"),
-            })
-        elif self.path == "/models":
-            self._send_json({
+            }
+        if self.path == "/models":
+            return {
                 "target": front.target_name,
                 "variable_names": list(front.variable_names),
                 "dataset_fingerprint": front.dataset_fingerprint,
                 "models": front.describe(),
-            })
-        elif self.path == "/stats":
-            self._send_json(self.server.profiler.snapshot())
-        else:
-            self._send_json({"error": f"unknown path {self.path!r}"},
-                            status=404)
+            }
+        if self.path == "/stats":
+            return self.server.profiler.snapshot()
+        raise _RequestError(f"unknown path {self.path!r}", status=404)
 
-    def do_POST(self) -> None:  # noqa: N802 (http.server contract)
+    def _post(self) -> dict:
         front = self.server.front
         profiler = self.server.profiler
-        try:
-            payload = self._read_json()
-            if self.path == "/predict":
-                X = self._matrix(payload, "X", front.n_variables)
-                with profiler.profile_step("predict", rows=X.shape[0]
-                                           if X.ndim == 2 else 0):
-                    response = self._predict(front, payload, X)
-            elif self.path == "/rescore":
-                X = self._matrix(payload, "X", front.n_variables)
-                y = self._finite_array(payload, "y")
-                with profiler.profile_step("rescore", rows=X.shape[0]
-                                           if X.ndim == 2 else 0):
-                    errors = front.rescore(X, y)
-                    response = {"target": front.target_name,
-                                "n_rows": int(X.shape[0]),
-                                "errors": [_jsonable(e) for e in errors]}
-            else:
-                self._send_json({"error": f"unknown path {self.path!r}"},
-                                status=404)
-                return
-        except (ValueError, TypeError, json.JSONDecodeError) as error:
-            self._send_json({"error": str(error)}, status=400)
-            return
-        self._send_json(response)
+        payload = self._read_json()
+        if self.path not in ("/predict", "/rescore"):
+            raise _RequestError(f"unknown path {self.path!r}", status=404)
+        X = self._matrix(payload, "X", front.n_variables)
+        rows = X.shape[0] if X.ndim == 2 else 0
+        if self.path == "/predict":
+            with profiler.profile_step("predict", rows=rows):
+                return self._predict(front, payload, X)
+        y = self._finite_array(payload, "y")
+        with profiler.profile_step("rescore", rows=rows):
+            errors = front.rescore(X, y)
+            return {"target": front.target_name,
+                    "n_rows": int(X.shape[0]),
+                    "errors": [_jsonable(e) for e in errors]}
 
     @staticmethod
     def _predict(front: FrozenFront, payload: dict, X: np.ndarray) -> dict:

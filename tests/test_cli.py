@@ -153,8 +153,71 @@ class TestRunCommand:
         assert "testing-error trade-off" in output
         assert "starting" in output  # the ProgressPrinter callback fired
 
-    def test_run_unknown_target_fails_cleanly(self, tmp_path):
+    def test_run_unknown_target_fails_cleanly(self, capsys, tmp_path):
         csv_path = tmp_path / "toy.csv"
         self._write_csv(csv_path)
-        with pytest.raises(ValueError, match="target column"):
-            main(["run", str(csv_path), "--target", "nope"])
+        assert "target column" in _usage_error(
+            capsys, ["run", str(csv_path), "--target", "nope"])
+
+    @pytest.mark.parametrize("command", ["run", "freeze"])
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file"),
+        (b"\xff\xfe\x00a,b,y\n", "not a text CSV file"),
+        (b"a,b,y\nx,p,1\nz,q,2\n", "no numeric data"),
+        (b"a,b,y\n", "at least one sample"),
+    ], ids=["missing", "binary", "non-numeric", "header-only"])
+    def test_bad_input_file_is_a_usage_error(self, capsys, tmp_path,
+                                             command, content, message):
+        csv_path = tmp_path / "data.csv"
+        if content is not None:
+            csv_path.write_bytes(content)
+        argv = [command, str(csv_path), "--target", "y"]
+        if command == "freeze":
+            argv += ["--out", str(tmp_path / "front.caffeine")]
+        assert message in _usage_error(capsys, argv)
+
+    def test_bad_test_file_is_a_usage_error(self, capsys, tmp_path):
+        csv_path = tmp_path / "toy.csv"
+        self._write_csv(csv_path)
+        missing = tmp_path / "holdout.csv"
+        assert "holdout.csv" in _usage_error(
+            capsys, ["run", str(csv_path), "--target", "y",
+                     "--test", str(missing)])
+
+    def test_run_errors_still_propagate(self, tmp_path, monkeypatch):
+        """Only loading the input is a usage error; a failure of the run
+        itself surfaces as its own exception."""
+        from repro.core.session import Session
+
+        def failing_run(self, resume=False):
+            raise RuntimeError("run failed")
+
+        csv_path = tmp_path / "toy.csv"
+        self._write_csv(csv_path)
+        monkeypatch.setattr(Session, "run", failing_run)
+        with pytest.raises(RuntimeError, match="run failed"):
+            main(["run", str(csv_path), "--target", "y"])
+
+
+class TestServeCommand:
+    def test_missing_artifact_is_a_usage_error(self, capsys, tmp_path):
+        assert "no front artifact" in _usage_error(
+            capsys, ["serve", str(tmp_path / "missing.caffeine")])
+
+    def test_damaged_artifact_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "front.caffeine"
+        path.write_bytes(b"not an artifact\n")
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert "no readable front artifact" in _usage_error(
+                capsys, ["serve", str(path)])
+
+
+def _usage_error(capsys, argv) -> str:
+    """The one ``error:`` line of a command that exits with status 2."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    error_lines = [line for line in capsys.readouterr().err.splitlines()
+                   if "error:" in line]
+    assert len(error_lines) == 1
+    return error_lines[0]

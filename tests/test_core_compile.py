@@ -2,8 +2,8 @@
 
 The compiled column evaluator (:mod:`repro.core.compile`) promises that every
 evaluation path -- fresh tape, skeleton-cache reuse with different
-parameters, per-node fallback, interpreter warmup -- produces the *exact*
-bytes the interpreter produces, magnitude clip and NaN semantics included.
+parameters, interpreter warmup -- produces the *exact* bytes the
+interpreter produces, magnitude clip and NaN semantics included.
 These tests enforce that promise over random trees (hypothesis) and over
 hand-built edge cases, and check the evaluator integration.
 """
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.core.compile import (
     CompilationError,
     TreeCompiler,
-    compile_basis_function,
     skeleton_and_params,
 )
 from repro.core.evaluation import PopulationEvaluator, evaluate_individual_inplace
@@ -58,6 +57,11 @@ def _adversarial_X(rng: np.random.Generator, n_variables: int) -> np.ndarray:
     ])
 
 
+def _column(compiler: TreeCompiler, basis: ProductTerm) -> np.ndarray:
+    """The evaluator's miss path: key the tree, then evaluate by key."""
+    return compiler.column_from_key(*skeleton_and_params(basis), basis)
+
+
 def _assert_bitwise_equal(compiled: np.ndarray, interpreted: np.ndarray,
                           context: str = "") -> None:
     assert compiled.shape == interpreted.shape, context
@@ -85,8 +89,8 @@ def test_compiled_matches_interpreter_on_random_trees(seed, n_variables,
     for basis in generator.random_basis_functions(5):
         interpreted = evaluate_basis_column(basis, X)
         # Twice: first sighting (interpreter warmup) and the compiled tape.
-        _assert_bitwise_equal(compiler.column(basis), interpreted, "(warmup)")
-        _assert_bitwise_equal(compiler.column(basis), interpreted, "(tape)")
+        _assert_bitwise_equal(_column(compiler, basis), interpreted, "(warmup)")
+        _assert_bitwise_equal(_column(compiler, basis), interpreted, "(tape)")
 
 
 @FAST
@@ -103,17 +107,17 @@ def test_skeleton_reuse_matches_interpreter_on_mutants(seed, n_variables):
     compiler = TreeCompiler(X)
     basis = generator.random_product_term()
     # Force the skeleton into the compiled state (sighting + recurrence).
-    compiler.column(basis)
-    compiler.column(basis.clone())
+    _column(compiler, basis)
+    _column(compiler, basis.clone())
     for _ in range(4):
         mutant = operators.parameter_mutation(
             Individual(bases=[basis.clone()])).bases[0]
-        _assert_bitwise_equal(compiler.column(mutant),
+        _assert_bitwise_equal(_column(compiler, mutant),
                               evaluate_basis_column(mutant, X), "(mutant)")
     vc_mutant = operators.vc_mutation(Individual(bases=[basis.clone()]))
     if vc_mutant is not None:
         mutant = vc_mutant.bases[0]
-        _assert_bitwise_equal(compiler.column(mutant),
+        _assert_bitwise_equal(_column(compiler, mutant),
                               evaluate_basis_column(mutant, X), "(vc mutant)")
 
 
@@ -183,9 +187,9 @@ class TestEdgeCases:
     def check(self, basis: ProductTerm) -> None:
         compiler = TreeCompiler(self.X)
         interpreted = evaluate_basis_column(basis, self.X)
-        _assert_bitwise_equal(compiler.column(basis), interpreted)
-        _assert_bitwise_equal(compiler.column(basis.clone()), interpreted)
-        _assert_bitwise_equal(compiler.column(basis.clone()), interpreted)
+        _assert_bitwise_equal(_column(compiler, basis), interpreted)
+        _assert_bitwise_equal(_column(compiler, basis.clone()), interpreted)
+        _assert_bitwise_equal(_column(compiler, basis.clone()), interpreted)
 
     def test_constant_vc_only(self):
         self.check(ProductTerm(vc=VariableCombo((0, 0))))
@@ -195,7 +199,7 @@ class TestEdgeCases:
 
     def test_magnitude_clip_maps_to_nan(self):
         basis = ProductTerm(vc=VariableCombo((4, 0)))  # (1e12)^4 -> clip
-        column = TreeCompiler(self.X).column(basis)
+        column = _column(TreeCompiler(self.X), basis)
         assert np.isnan(column[3])
         self.check(basis)
 
@@ -261,10 +265,10 @@ class TestEdgeCases:
 
 
 # ----------------------------------------------------------------------
-# fallbacks and API behavior
+# unknown node types and API behavior
 # ----------------------------------------------------------------------
 class _ExoticNode(ExpressionNode):
-    """An op-term the compiler has never heard of (per-node fallback)."""
+    """An op-term the compiler has never heard of."""
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
@@ -281,29 +285,40 @@ class _HollowNode(ExpressionNode):
         return _HollowNode()
 
 
-def test_unknown_node_falls_back_per_node():
+def test_unknown_node_is_rejected():
+    """Only the expression module's node classes key and compile; the
+    evaluator refuses anything else before a column is computed, while the
+    interpreter still evaluates the node through its own ``evaluate``."""
     X = np.array([[0.5], [2.0], [-3.0]])
     basis = ProductTerm(vc=VariableCombo((2,)), ops=[_ExoticNode()])
-    compiler = TreeCompiler(X)
-    interpreted = evaluate_basis_column(basis, X)
-    for _ in range(2):  # opaque trees compile fresh every call
-        _assert_bitwise_equal(compiler.column(basis), interpreted)
-    assert compiler.n_compiled == 2
     with pytest.raises(CompilationError):
         skeleton_and_params(basis)
+    compiler = TreeCompiler(X)
+    with pytest.raises(CompilationError, match="_ExoticNode"):
+        compiler.compile(basis)
+    assert compiler.n_compiled == 0
+    evaluator = PopulationEvaluator(X, np.array([1.0, 2.0, 4.0]))
+    with pytest.raises(CompilationError):
+        evaluator.evaluate_individual(Individual(bases=[basis]))
+    assert evaluator.n_columns_computed == 0
+    assert np.isfinite(evaluate_basis_column(basis, X)).all()
 
 
-def test_node_without_evaluate_uses_interpreter_error():
+def test_node_without_evaluate_is_rejected():
     X = np.array([[0.5], [2.0]])
     basis = ProductTerm(vc=VariableCombo((1,)), ops=[_HollowNode()])
+    with pytest.raises(CompilationError):
+        skeleton_and_params(basis)
+    with pytest.raises(CompilationError, match="_HollowNode"):
+        TreeCompiler(X).compile(basis)
     with pytest.raises(NotImplementedError):
-        TreeCompiler(X).column(basis)
+        evaluate_basis_column(basis, X)
 
 
 def test_variable_count_mismatch_raises_like_interpreter():
     basis = ProductTerm(vc=VariableCombo((1, 2, 3)))
     with pytest.raises(ValueError, match="columns"):
-        TreeCompiler(np.ones((4, 2))).column(basis)
+        _column(TreeCompiler(np.ones((4, 2))), basis)
 
 
 def test_kernel_cache_respects_capacity_and_warmup():
@@ -313,22 +328,22 @@ def test_kernel_cache_respects_capacity_and_warmup():
     a = ProductTerm(vc=VariableCombo((1, 0)))
     b = ProductTerm(vc=VariableCombo((0, 1)))
     for basis in (a, b, a, b):  # first sightings, then compilations
-        compiler.column(basis)
+        _column(compiler, basis)
     assert compiler.n_interpreted == 2
     assert compiler.n_compiled == 2
     assert len(compiler._kernels) == 1  # LRU capacity enforced
     # a one-kernel LRU that keeps evicting still evaluates bit-for-bit
     interpreted = evaluate_basis_column(a, X)
-    _assert_bitwise_equal(compiler.column(b), evaluate_basis_column(b, X))
-    _assert_bitwise_equal(compiler.column(a), interpreted)
+    _assert_bitwise_equal(_column(compiler, b), evaluate_basis_column(b, X))
+    _assert_bitwise_equal(_column(compiler, a), interpreted)
     with pytest.raises(ValueError, match="max_kernels"):
         TreeCompiler(X, max_kernels=0)
 
 
-def test_compile_basis_function_convenience():
+def test_compiled_kernel_evaluates_its_own_tree():
     X = np.array([[0.5, 1.0], [2.0, 3.0]])
     basis = ProductTerm(vc=VariableCombo((1, -1)))
-    kernel = compile_basis_function(basis, X)
+    kernel = TreeCompiler(X).compile(basis)
     _assert_bitwise_equal(kernel(kernel.compiled_params),
                           evaluate_basis_column(basis, X))
 
@@ -362,9 +377,9 @@ class TestCanonicalFactorOrder:
         rng = np.random.default_rng(3)
         X = rng.uniform(0.5, 2.0, size=(12, 2))
         compiler = TreeCompiler(X)
-        first = compiler.column(ab)    # first sighting: interpreted
-        second = compiler.column(ba)   # recurrence: compiles one tape
-        third = compiler.column(ab)    # served by the cached kernel
+        first = _column(compiler, ab)    # first sighting: interpreted
+        second = _column(compiler, ba)   # recurrence: compiles one tape
+        third = _column(compiler, ab)    # served by the cached kernel
         assert compiler.n_compiled == 1
         assert compiler.n_kernel_hits == 1
         assert compiler.kernel_hit_rate == pytest.approx(1.0 / 3.0)

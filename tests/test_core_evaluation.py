@@ -103,7 +103,6 @@ class TestBasisColumnCache:
         cache.get(("missing",))
         assert cache.stats.hits == 1 and cache.stats.misses == 1
         assert cache.stats.hit_rate == pytest.approx(0.5)
-        assert cache.stats.as_dict()["hit_rate"] == pytest.approx(0.5)
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -193,6 +192,43 @@ class TestEvaluatorEquivalence:
         assert tiny.cache.stats.evictions > 0
         for a, b in zip(population, reference):
             self._assert_same_evaluation(a, b)
+
+    def test_fit_evicted_within_batch_is_refitted(self, generator,
+                                                  rational_train,
+                                                  fast_settings):
+        """A fit-cache hit when a batch begins, evicted by a one-entry fit
+        cache before its turn, is refitted through the same batched path."""
+        a, b = _random_population(generator, 2)
+        evaluator = PopulationEvaluator(rational_train.X, rational_train.y,
+                                        fast_settings,
+                                        cache=BasisColumnCache(1))
+        evaluator.evaluate_population([a.clone()])
+        batch = [b.clone(), a.clone()]
+        evaluator.evaluate_population(batch)
+        # b's fit evicted a's before a was distributed: three fits in all.
+        assert evaluator.n_fits_computed == 3
+        reference = [b.clone(), a.clone()]
+        for individual in reference:
+            evaluate_individual_inplace(individual, rational_train.X,
+                                        rational_train.y, fast_settings)
+        for evaluated, expected in zip(batch, reference):
+            self._assert_same_evaluation(evaluated, expected)
+
+    def test_individual_without_bases_gets_intercept_fit(self, generator,
+                                                         rational_train,
+                                                         fast_settings):
+        empty = Individual(bases=[])
+        population = [empty] + _random_population(generator, 3)
+        reference = [ind.clone() for ind in population]
+        evaluator = PopulationEvaluator(rational_train.X, rational_train.y,
+                                        fast_settings)
+        evaluator.evaluate_population(population)
+        for individual in reference:
+            evaluate_individual_inplace(individual, rational_train.X,
+                                        rational_train.y, fast_settings)
+        assert empty.fit is not None and empty.fit.n_terms == 0
+        for evaluated, expected in zip(population, reference):
+            self._assert_same_evaluation(evaluated, expected)
 
     def test_simplify_rejects_mismatched_evaluator(self, generator,
                                                    rational_train, fast_settings):
@@ -385,10 +421,7 @@ class TestSharedColumnCache:
 
     def test_same_data_shares_columns(self, generator, rational_train,
                                       fast_settings):
-        from repro.core.evaluation import (
-            dataset_fingerprint,
-            function_set_fingerprint,
-        )
+        from repro.core.evaluation import dataset_fingerprint
 
         population = _random_population(generator, 8)
         shared = BasisColumnCache(max_entries=5000)
@@ -399,7 +432,7 @@ class TestSharedColumnCache:
                                      fast_settings, cache=shared)
         assert first.dataset_key == second.dataset_key == \
             (dataset_fingerprint(rational_train.X),
-             function_set_fingerprint(fast_settings.function_set))
+             fast_settings.function_set.fingerprint())
         first.evaluate_population([ind.clone() for ind in population])
         computed_by_first = first.n_columns_computed
         assert computed_by_first > 0
@@ -485,6 +518,6 @@ class TestEndToEndReproducibility:
         assert result.n_models >= 1
         # Clones and crossover survivors re-use parental basis functions, so
         # a multi-generation run must see cache hits.
-        assert engine.evaluator.stats.hits > 0
+        assert engine.evaluator.cache.stats.hits > 0
         assert engine.evaluator.n_evaluated >= \
             settings.population_size * (settings.n_generations + 1)

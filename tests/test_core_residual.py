@@ -256,7 +256,11 @@ class TestResidualBackends:
 class TestEvaluatorResidualEquivalence:
     """Population evaluation equals the per-individual reference path."""
 
-    def test_population_bitwise_equal(self, rational_train, fast_settings):
+    def test_population_bitwise_equal(self, rational_train, fast_settings,
+                                      monkeypatch):
+        import repro.core.evaluation as evaluation
+        import repro.regression.least_squares as least_squares
+
         generator = ExpressionGenerator(3, fast_settings,
                                         rng=np.random.default_rng(17))
         population = [Individual(bases=generator.random_basis_functions())
@@ -264,11 +268,26 @@ class TestEvaluatorResidualEquivalence:
         clones = [ind.clone() for ind in population]
         batched = PopulationEvaluator(rational_train.X, rational_train.y,
                                       fast_settings)
+        widths_predicted = []
+
+        def counting_predict(intercepts, coefficient_rows, stacked):
+            widths_predicted.append(stacked.shape[2])
+            return predict_linear_batch(intercepts, coefficient_rows, stacked)
+
+        monkeypatch.setattr(least_squares, "predict_linear_batch",
+                            counting_predict)
+        monkeypatch.setattr(evaluation, "predict_linear_batch",
+                            counting_predict)
         batched.evaluate_population(population)
         for individual in clones:
             evaluate_individual_inplace(individual, rational_train.X,
                                         rational_train.y, fast_settings)
-        assert batched.residual_backend.n_batched_fits > 0
+        # One prediction pass per basis-width group: the rows that give the
+        # fits their residual sums of squares also score their errors.
+        widths = sorted({len(ind.bases) for ind in population
+                         if ind.is_feasible})
+        assert len(widths) > 1
+        assert sorted(widths_predicted) == widths
         for a, b in zip(population, clones):
             assert a.error == b.error
             assert a.complexity == b.complexity
@@ -308,7 +327,8 @@ class TestAdaptiveBudgets:
                                         settings)
         assert evaluator.cache.max_entries == budgets.columns
         assert evaluator.gram_pool.max_pairs == budgets.gram_pairs
-        assert evaluator._compiler.max_kernels == budgets.kernels
+        assert evaluator._column_backend.compiler.max_kernels == \
+            budgets.kernels
 
 
 class TestEngineResidualEquivalence:

@@ -272,7 +272,7 @@ def test_rank_and_selection_backends_identical(vectors, seed, target_fraction):
 def test_gram_fit_bitwise_equals_fit_linear(n_samples, n_bases,
                                             scale_exponent, seed, degenerate):
     from repro.regression.least_squares import (
-        fit_linear_from_gram,
+        fit_linear_from_gram_batch,
         raw_normal_statistics,
     )
 
@@ -290,10 +290,20 @@ def test_gram_fit_bitwise_equals_fit_linear(n_samples, n_bases,
 
     direct = fit_linear(basis_matrix, y)
     gram, colsums, ydots = raw_normal_statistics(basis_matrix, y)
-    pooled = fit_linear_from_gram(gram, colsums, ydots, float(y.sum()),
-                                  basis_matrix, y)
+    if n_bases == 0:
+        # Basis-free fits are fit_linear's intercept-only case; the gram
+        # path only ever sees individuals with at least one column.
+        with pytest.raises(ValueError, match="at least one basis column"):
+            fit_linear_from_gram_batch(gram[None], colsums[None],
+                                       ydots[None], float(y.sum()),
+                                       [basis_matrix], y)
+        return
+    (pooled,), predictions = fit_linear_from_gram_batch(
+        gram[None], colsums[None], ydots[None], float(y.sum()),
+        [basis_matrix], y)
     assert (direct is None) == (pooled is None)
     if direct is not None:
+        assert np.array_equal(predictions[0], direct.predict(basis_matrix))
         assert pooled.intercept == direct.intercept
         assert np.array_equal(pooled.coefficients, direct.coefficients)
         assert pooled.residual_sum_of_squares == direct.residual_sum_of_squares

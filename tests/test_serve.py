@@ -10,15 +10,21 @@ is built from it.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings as hyp_settings
+from hypothesis import strategies as st
 
-from repro.core.artifact import load_front, save_front
+import repro.serve as serve
+from repro.core.artifact import FrozenFront, load_front, save_front
 from repro.core.report import rescore_models
 from repro.estimator import SymbolicRegressor
 from repro.serve import RequestProfiler, make_server
@@ -81,6 +87,28 @@ def _post_raw(server, path, body: bytes):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def _exchange(server, path, body=b"", content_length="exact"):
+    """``(status, Connection header, parsed JSON)`` of one POST whose
+    ``Content-Length`` header is ``content_length`` verbatim (``"exact"``:
+    the body's length; ``None``: no header)."""
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        connection.putrequest("POST", path)
+        connection.putheader("Content-Type", "application/json")
+        if content_length == "exact":
+            content_length = str(len(body))
+        if content_length is not None:
+            connection.putheader("Content-Length", content_length)
+        connection.endheaders(body or None)
+        response = connection.getresponse()
+        assert response.getheader("Content-Type") == "application/json"
+        return (response.status, response.getheader("Connection"),
+                json.loads(response.read()))
+    finally:
+        connection.close()
 
 
 class TestEndpoints:
@@ -190,6 +218,88 @@ class TestRejections:
         assert status == 400
         assert "model_index must be an integer" in body["error"]
 
+    @pytest.mark.parametrize("path, template, field", [
+        ("/predict", '{{"X": [[1.0, {huge}]]}}', "'X'"),
+        ("/rescore", '{{"X": [[1.0, {huge}]], "y": [1.0]}}', "'X'"),
+        ("/rescore", '{{"X": [[1.0, 1.0]], "y": [{huge}]}}', "'y'"),
+    ], ids=["predict-X", "rescore-X", "rescore-y"])
+    def test_integer_beyond_float_range_is_a_400(self, server, path,
+                                                 template, field):
+        """An integer literal too large for a float is non-finite, not an
+        OverflowError that drops the connection."""
+        body = template.format(huge="1" + "0" * 400).encode()
+        status, _connection, payload = _exchange(server, path, body)
+        assert status == 400
+        assert field in payload["error"]
+        assert "non-finite" in payload["error"]
+
+    def test_handler_exception_is_a_json_500(self, server, monkeypatch):
+        def broken_predict(self, *args, **kwargs):
+            raise RuntimeError("kernel exploded")
+
+        monkeypatch.setattr(FrozenFront, "predict", broken_predict)
+        status, _connection, payload = _exchange(
+            server, "/predict", b'{"X": [[1.0, 1.0]]}')
+        assert status == 500
+        assert "RuntimeError" in payload["error"]
+        assert _get(server, "/healthz")["status"] == "ok"
+
+    def test_oversized_content_length_is_a_413(self, server):
+        status, connection, payload = _exchange(
+            server, "/predict", content_length=str(serve.MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert connection == "close"
+        assert str(serve.MAX_BODY_BYTES) in payload["error"]
+        assert _get(server, "/healthz")["status"] == "ok"
+
+    @pytest.mark.parametrize("content_length", [None, "-5", "abc", "1.5"])
+    def test_malformed_content_length_is_a_400(self, server, content_length):
+        status, connection, payload = _exchange(
+            server, "/predict", content_length=content_length)
+        assert status == 400
+        assert connection == "close"
+        assert "Content-Length" in payload["error"]
+
+    def test_stalled_body_times_out(self, server, monkeypatch):
+        """A client that declares a body and stops sending frees its
+        thread: 408, then the connection closes."""
+        monkeypatch.setattr(serve, "BODY_TIMEOUT_S", 0.2)
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as client:
+            client.sendall(b"POST /predict HTTP/1.1\r\nHost: test\r\n"
+                           b"Content-Length: 100\r\n\r\n{\"X\": ")
+            received = b""
+            while True:
+                chunk = client.recv(4096)
+                if not chunk:
+                    break
+                received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408")
+        assert "not received" in json.loads(body)["error"]
+        assert _get(server, "/healthz")["status"] == "ok"
+
+    def test_idle_keep_alive_is_not_timed(self, server, monkeypatch):
+        """The body timeout covers reading a declared body only: a
+        kept-alive connection may idle between requests."""
+        monkeypatch.setattr(serve, "BODY_TIMEOUT_S", 0.2)
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.request("GET", "/healthz")
+            assert connection.getresponse().read()
+            sock = connection.sock
+            time.sleep(0.5)
+            connection.request("POST", "/predict",
+                               body=b'{"X": [[1.0, 1.0]]}',
+                               headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["n_rows"] == 1
+            assert connection.sock is sock
+        finally:
+            connection.close()
+
     def test_unknown_paths(self, server):
         assert _post_status(server, "/nope", {"X": []}) == 404
         try:
@@ -199,6 +309,67 @@ class TestRejections:
             error.read()
             status = error.code
         assert status == 404
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.sampled_from([10 ** 400, -(10 ** 309), 1e308])
+            | st.text(max_size=4))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=3), children,
+                                        max_size=3)),
+    max_leaves=12)
+_CELLS = st.floats(-1e3, 1e3) | _SCALARS
+#: design matrices: two-feature rows (the served front's width), ragged
+#: rows, huge, non-finite and non-numeric cells
+_ROWS = (st.lists(st.lists(_CELLS, min_size=2, max_size=2), min_size=1,
+                  max_size=4)
+         | st.lists(st.lists(_CELLS, max_size=3), max_size=4))
+_OPTIONAL_KEYS = {
+    "y": st.lists(_CELLS, max_size=4) | _JSON, "model_index": _JSON,
+    "complexity_max": _JSON, "by": st.sampled_from(["test", "train"]) | _JSON,
+    "all_models": _JSON, "extra": _JSON}
+_PAYLOADS = (st.fixed_dictionaries({"X": _ROWS}, optional=_OPTIONAL_KEYS)
+             | st.fixed_dictionaries({}, optional={"X": _JSON,
+                                                   **_OPTIONAL_KEYS}))
+_BODIES = st.one_of(
+    _PAYLOADS.map(lambda payload: json.dumps(payload).encode()),
+    _PAYLOADS.map(lambda payload: json.dumps(payload).encode()),
+    _JSON.map(lambda value: json.dumps(value).encode()),
+    st.integers(1, 20000).map(lambda depth: b"[" * depth),
+    st.integers(1, 2000).map(
+        lambda depth: b'{"X": ' + b"[" * depth + b"1" + b"]" * depth + b"}"),
+    st.binary(max_size=64),
+)
+#: how the Content-Length header relates to the body (only "exact" sends
+#: the body; the others must be rejected before any body is read)
+_LENGTHS = st.sampled_from([
+    "exact", "exact", "exact", "exact", None, "-1", "12abc",
+    str(serve.MAX_BODY_BYTES + 1)])
+
+
+class TestServingFuzz:
+    """Generated requests never crash the server or drop the connection:
+    every answer is JSON with a 2xx or 4xx status, and the server stays up."""
+
+    @hyp_settings(max_examples=200, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+    @given(path=st.sampled_from(["/predict", "/rescore"]), body=_BODIES,
+           content_length=_LENGTHS)
+    @example(path="/rescore", content_length="exact",
+             body=b'{"X": [[1, 2]], "y": [1' + b"0" * 400 + b"]}")
+    def test_generated_requests_get_json_answers(self, server, path, body,
+                                                 content_length):
+        if content_length != "exact":
+            body = b""
+        status, _connection, payload = _exchange(server, path, body,
+                                                 content_length)
+        assert 200 <= status < 300 or 400 <= status < 500, payload
+        assert isinstance(payload, dict)
+
+    def test_server_is_live_after_fuzzing(self, server):
+        assert _get(server, "/healthz")["status"] == "ok"
 
 
 class TestRequestProfiler:
