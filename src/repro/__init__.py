@@ -75,14 +75,15 @@ boundaries (and final results) to a
 Ctrl-C ``session.resume()`` skips finished problems and continues
 interrupted ones **bit-identically** from their last snapshot.  With
 ``jobs > 1`` a crashed, hung or raising worker is contained to its
-problem -- retried with backoff, degraded to in-process execution, and
-finally recorded as a structured
-:class:`~repro.core.session.ProblemFailure` in
+problem -- retried with backoff in a fresh worker (never on the calling
+process, so ``timeout`` bounds every attempt), then recorded as a
+structured :class:`~repro.core.session.ProblemFailure` in
 ``SessionResult.failures`` while every other problem's result is
-returned.  The fault-injection harness behind those guarantees lives in
+returned; ``SessionResult.raise_failures()`` is the fail-fast path.
+The fault-injection harness behind those guarantees lives in
 :mod:`repro.core.faults` (``REPRO_FAULTS`` environment variable or
 ``CaffeineSettings.fault_injection``); see ``benchmarks/README.md`` for
-the checkpoint/resume semantics and failure knobs.
+the checkpoint/resume semantics and failure options.
 
 One run without a session is ``CaffeineEngine(train, test,
 settings).run()`` (see the migration table in ``benchmarks/README.md``).

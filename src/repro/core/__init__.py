@@ -7,8 +7,9 @@ The public surface of the core package:
   process pool) over one shared, optionally persistent column cache, with
   crash-safe checkpoint/resume (``checkpoint_path`` +
   :meth:`~repro.core.session.Session.resume`, bit-identical restarts) and
-  fault tolerance (per-problem timeouts/retries, worker-crash containment,
-  partial results with structured
+  fault tolerance (per-attempt timeouts, retries in fresh workers,
+  worker-crash containment -- a failed attempt never re-runs on the
+  orchestrating process -- and partial results with structured
   :class:`~repro.core.session.ProblemFailure` records);
 * :class:`~repro.core.engine.CaffeineEngine` -- one run's evolutionary
   loop (``CaffeineEngine(train, test, settings).run()``);

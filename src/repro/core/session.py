@@ -32,18 +32,19 @@ Guarantees (same discipline as the engine's other fast paths):
   lock -- no run's columns are lost (see
   :meth:`~repro.core.cache_store.ColumnCacheStore.save`).
 
-Fault tolerance (all opt-out rather than opt-in -- a long sweep should
-survive by default):
+Fault tolerance (a long sweep survives by default):
 
-* **one problem's failure never aborts the sweep** (default
-  ``failure_policy="continue"``): a worker that crashes (killed pid,
-  segfault), times out (``timeout`` seconds per problem) or raises is
-  retried up to ``retries`` times with exponential backoff + jitter, then
-  -- if ``fallback_serial`` -- run once more in-process; only after all
-  that does the problem land in :attr:`SessionResult.failures` as a
-  structured :class:`ProblemFailure` (and
-  :meth:`SessionCallback.on_problem_error` fires) while every other
-  problem's result is returned normally;
+* **one problem's failure never aborts the sweep**: a run that raises
+  -- or, under ``jobs > 1``, a worker that crashes (killed pid, segfault,
+  OOM kill) or outlives its ``timeout`` -- is retried up to ``retries``
+  times with exponential backoff + jitter (:data:`RETRY_BACKOFF_S`); when
+  the last attempt fails too, the problem lands in
+  :attr:`SessionResult.failures` as a structured :class:`ProblemFailure`
+  (and :meth:`SessionCallback.on_problem_error` fires) while every other
+  problem's result is returned normally.  A failed worker attempt is
+  only ever retried in a fresh worker, never on the orchestrating
+  process, so ``timeout`` bounds every attempt and a crash stays
+  contained.  :meth:`SessionResult.raise_failures` is the fail-fast path;
 * **crash-safe checkpoints** (``checkpoint_path``): each problem's engine
   periodically snapshots its generation boundary to a
   :class:`~repro.core.cache_store.RunCheckpointStore` (and stores its
@@ -53,8 +54,8 @@ survive by default):
 * **Ctrl-C returns what finished**: a ``KeyboardInterrupt`` saves the
   running problem's last boundary checkpoint, stops the sweep, and returns
   a partial :class:`SessionResult` (``interrupted=True``) instead of
-  discarding hours of completed work (with ``failure_policy="raise"`` it
-  propagates).
+  discarding hours of completed work; every problem that started is in
+  its results or (``phase="interrupted"``) its failures.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -82,7 +84,11 @@ from repro.core.problem import Problem
 from repro.core.settings import CaffeineSettings
 
 __all__ = ["Session", "SessionCallback", "SessionResult", "ProblemFailure",
-           "ProgressPrinter"]
+           "ProgressPrinter", "RETRY_BACKOFF_S"]
+
+#: Base retry delay in seconds: the retry after failed attempt ``k``
+#: (0-based) waits ``RETRY_BACKOFF_S * 2**k``, plus up to 25% jitter.
+RETRY_BACKOFF_S = 0.5
 
 
 class SessionCallback:
@@ -119,12 +125,8 @@ class SessionCallback:
 
     def on_problem_error(self, problem: Problem,
                          failure: "ProblemFailure") -> None:
-        """After one problem failed *terminally* (every retry and fallback
-        exhausted); the sweep continues under ``failure_policy="continue"``."""
-
-    def on_checkpoint(self, problem: Problem, path: str,
-                      n_entries: int) -> None:
-        """After a mid-session column-cache checkpoint was written."""
+        """After one problem failed *terminally* (every retry exhausted);
+        the sweep continues."""
 
     def on_session_end(self, result: "SessionResult") -> None:
         """After every problem finished/failed and caches were saved."""
@@ -169,11 +171,12 @@ class ProblemFailure:
     """Structured record of one problem's terminal (or per-attempt) failure.
 
     ``phase`` is one of ``"worker-crash"`` (the worker process died -- a
-    negative exitcode names the signal), ``"timeout"`` (the per-problem
-    ``timeout`` elapsed and the worker was killed), ``"exception"`` (the
+    negative exitcode names the signal), ``"timeout"`` (the attempt
+    outlived ``timeout`` and its worker was killed), ``"exception"`` (the
     run raised; ``error_type``/``message``/``traceback`` carry it) or
-    ``"interrupted"`` (a ``KeyboardInterrupt`` stopped the sweep while this
-    problem was in flight -- its checkpoint, if any, was saved).
+    ``"interrupted"`` (a ``KeyboardInterrupt`` stopped the sweep after this
+    problem started and before it finished -- in flight or waiting for a
+    retry; its checkpoint, if any, was kept).
     """
 
     problem: Problem
@@ -183,8 +186,6 @@ class ProblemFailure:
     #: how many attempts were made in total (first try counts as 1)
     attempts: int
     traceback: str = ""
-    #: True when the last attempt was the in-process serial fallback
-    fell_back_serial: bool = False
 
     @property
     def name(self) -> str:
@@ -201,8 +202,9 @@ class SessionResult:
 
     A fault-tolerant run can be *partial*: problems that failed terminally
     are absent from :attr:`results` and present in :attr:`failures`
-    instead, and a ``KeyboardInterrupt`` sets :attr:`interrupted` (problems
-    that never started appear in neither mapping).  What IS in
+    instead, and a ``KeyboardInterrupt`` sets :attr:`interrupted` (every
+    problem that started is in one of the two mappings; problems that
+    never started appear in neither).  What IS in
     :attr:`results` is always a complete, trustworthy
     :class:`~repro.core.engine.CaffeineResult` -- bit-identical to what an
     undisturbed run would have produced for that problem.
@@ -313,17 +315,13 @@ class Session:
         are identical either way -- see the module docstring.
     column_cache_path:
         Optional :class:`ColumnCacheStore` path: the session warm-starts
-        from it and saves back everything it computed.  With ``jobs > 1``
-        every worker loads it at start and merge-saves at end (under the
-        store's advisory lock), so parallel sweeps still pool their
-        columns across problems and across sessions.
+        from it and saves back everything it computed (serially once at
+        the end, Ctrl-C included).  With ``jobs > 1`` every worker loads
+        it at start and merge-saves at end (under the store's advisory
+        lock), so parallel sweeps still pool their columns across
+        problems and across sessions.
     callbacks:
         :class:`SessionCallback` instances observing the run.
-    checkpoint_column_cache:
-        Serially, save the shared cache to ``column_cache_path`` after
-        *each* problem (not just at the end), so an interrupted sweep
-        keeps the warmth it paid for.  Parallel sessions checkpoint
-        inherently (each worker saves on completion).
     checkpoint_path:
         Optional :class:`~repro.core.cache_store.RunCheckpointStore` path
         making every problem's run crash-safe: its engine snapshots the
@@ -334,26 +332,13 @@ class Session:
         Generation cadence of those snapshots (default 1 -- every
         boundary; raise it to trade crash granularity for less pickling).
     timeout:
-        Optional per-problem wall-clock budget in seconds (``jobs > 1``
+        Optional wall-clock budget in seconds of each attempt (``jobs > 1``
         only -- an in-process run cannot be preempted): a worker past its
-        deadline is killed and the problem retried/failed like a crash.
+        deadline is killed and the attempt fails like a crash.
     retries:
         How many times a crashed / timed-out / raising problem is retried
-        (fresh worker, exponential backoff with jitter) before the serial
-        fallback or terminal failure.  Default 1.
-    retry_backoff:
-        Base backoff delay in seconds; attempt ``k`` waits
-        ``retry_backoff * 2**(k-1)`` (+ up to 25% jitter).  Default 0.5.
-    fallback_serial:
-        After all parallel retries fail, try the problem once more
-        in-process (default True) -- degraded throughput beats a lost
-        problem when the failure was pool-related.
-    failure_policy:
-        ``"continue"`` (default): terminal failures become structured
-        :class:`ProblemFailure` records in a partial
-        :class:`SessionResult` and the sweep keeps going.  ``"raise"``:
-        the first failure propagates as an exception and a
-        ``KeyboardInterrupt`` propagates instead of returning partials.
+        (fresh worker, exponential backoff with jitter, see
+        :data:`RETRY_BACKOFF_S`) before it fails terminally.  Default 1.
     """
 
     def __init__(self, problems: Sequence[Problem] = (),
@@ -361,47 +346,29 @@ class Session:
                  jobs: int = 1,
                  column_cache_path: Optional[str] = None,
                  callbacks: Sequence[SessionCallback] = (),
-                 checkpoint_column_cache: bool = False,
                  checkpoint_path: Optional[str] = None,
                  checkpoint_every: int = 1,
                  timeout: Optional[float] = None,
-                 retries: int = 1,
-                 retry_backoff: float = 0.5,
-                 fallback_serial: bool = True,
-                 failure_policy: str = "continue") -> None:
+                 retries: int = 1) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if checkpoint_column_cache and column_cache_path is None:
-            raise ValueError(
-                "checkpoint_column_cache=True has nothing to write to; "
-                "pass column_cache_path as well")
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be at least 1")
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive (or None)")
         if retries < 0:
             raise ValueError("retries must be non-negative")
-        if retry_backoff < 0:
-            raise ValueError("retry_backoff must be non-negative")
-        if failure_policy not in ("continue", "raise"):
-            raise ValueError(
-                f"failure_policy must be 'continue' or 'raise', "
-                f"got {failure_policy!r}")
         self.problems: List[Problem] = []
         self.settings = settings
         self.jobs = int(jobs)
         self.column_cache_path = (str(column_cache_path)
                                   if column_cache_path is not None else None)
         self.callbacks: List[SessionCallback] = list(callbacks)
-        self.checkpoint_column_cache = bool(checkpoint_column_cache)
         self.checkpoint_path = (str(checkpoint_path)
                                 if checkpoint_path is not None else None)
         self.checkpoint_every = int(checkpoint_every)
         self.timeout = timeout
         self.retries = int(retries)
-        self.retry_backoff = float(retry_backoff)
-        self.fallback_serial = bool(fallback_serial)
-        self.failure_policy = failure_policy
         for problem in problems:
             self.add(problem)
 
@@ -425,10 +392,13 @@ class Session:
     def run(self, *, resume: bool = False) -> SessionResult:
         """Run every problem and return the ordered result mapping.
 
-        ``resume=True`` (requires ``checkpoint_path``) warm-restarts from
-        the checkpoint store: problems with a stored final result return
-        it without re-running, problems with a generation snapshot
-        continue bit-identically from it, everything else starts cold.
+        The result is partial when a problem failed or Ctrl-C stopped the
+        sweep; :meth:`SessionResult.raise_failures` turns that into an
+        error.  ``resume=True`` (requires ``checkpoint_path``)
+        warm-restarts from the checkpoint store: problems with a stored
+        final result return it without re-running, problems with a
+        generation snapshot continue bit-identically from it, everything
+        else starts cold.
         """
         if not self.problems:
             raise ValueError("session has no problems to run")
@@ -458,15 +428,44 @@ class Session:
         return self.run(resume=True)
 
     # ------------------------------------------------------------------
-    def _checkpoint_store(self) -> Optional[RunCheckpointStore]:
-        return (RunCheckpointStore(self.checkpoint_path)
-                if self.checkpoint_path is not None else None)
+    def _attempt_failed(self, failures: Dict[str, ProblemFailure],
+                        problem: Problem, attempt: int, phase: str,
+                        error_type: str, message: str,
+                        trace: str = "") -> Optional[float]:
+        """Handle the failure of ``problem``'s 0-based ``attempt``.
 
-    def _backoff_delay(self, failed_attempt: int) -> float:
-        """Exponential backoff with up to 25% jitter (wall-clock only)."""
-        base = self.retry_backoff * (2.0 ** failed_attempt)
-        # repro-lint: allow[determinism] -- retry-backoff jitter shapes wall-clock waits only, never results
-        return base * (1.0 + 0.25 * random.random())
+        Returns the backoff delay before the retry (after firing
+        ``on_problem_retry``), or None when no retry is left -- the
+        failure is then recorded in ``failures``.
+        """
+        failure = ProblemFailure(
+            problem=problem, phase=phase, error_type=error_type,
+            message=message, attempts=attempt + 1, traceback=trace)
+        if attempt < self.retries:
+            delay = _backoff_delay(attempt)
+            self._fire("on_problem_retry", problem, failure, delay)
+            return delay
+        failures[problem.name] = failure
+        return None
+
+    def _record_interrupted(self, attempts: Dict[str, int],
+                            results: Dict[str, CaffeineResult],
+                            failures: Dict[str, ProblemFailure]) -> None:
+        """Record every started problem without an outcome as interrupted.
+
+        ``attempts`` maps each started problem to its attempts so far.
+        """
+        message = ("interrupted by user"
+                   + ("; last checkpoint kept"
+                      if self.checkpoint_path is not None else ""))
+        for problem in self.problems:
+            name = problem.name
+            if name in attempts and name not in results \
+                    and name not in failures:
+                failures[name] = ProblemFailure(
+                    problem=problem, phase="interrupted",
+                    error_type="KeyboardInterrupt", message=message,
+                    attempts=attempts[name])
 
     # ------------------------------------------------------------------
     def _run_serial(self, resume: bool
@@ -479,87 +478,52 @@ class Session:
             for problem in self.problems))
         store = (ColumnCacheStore(self.column_cache_path)
                  if self.column_cache_path is not None else None)
-        checkpoints = self._checkpoint_store()
+        checkpoints = (RunCheckpointStore(self.checkpoint_path)
+                       if self.checkpoint_path is not None else None)
         total = len(self.problems)
         results: Dict[str, CaffeineResult] = {}
         failures: Dict[str, ProblemFailure] = {}
+        attempts: Dict[str, int] = {}
         interrupted = False
-        loaded_namespaces = set()
-        current: Optional[Problem] = None
+        loaded_namespaces: Set[str] = set()
         try:
             for index, problem in enumerate(self.problems):
-                current = problem
                 self._fire("on_problem_start", problem, index, total)
                 effective = problem.effective_settings(self.settings)
                 progress = self._generation_progress(problem)
                 attempt = 0
                 while True:
-                    engine = CaffeineEngine(
-                        problem.train, test=problem.test, settings=effective,
-                        column_cache=cache)
-                    if store is not None:
-                        # Admit only this problem's namespace into the LRU
-                        # (a shared store file only grows; foreign
-                        # namespaces would occupy -- and at capacity evict
-                        # -- the warm columns this sweep actually uses).
-                        # Each namespace loads once per session.
-                        dataset_key = engine.evaluator.dataset_key
-                        if dataset_key not in loaded_namespaces:
-                            loaded_namespaces.add(dataset_key)
-                            store.load_into(cache, dataset_key=dataset_key)
+                    attempts[problem.name] = attempt + 1
                     try:
                         # A retry resumes from the failed attempt's own
                         # checkpoints: completed generations stay paid for.
-                        result = engine.run(
-                            progress=progress,
-                            checkpoint=checkpoints,
-                            checkpoint_every=self.checkpoint_every,
-                            checkpoint_slot=problem.name,
-                            resume=resume or attempt > 0)
-                    except KeyboardInterrupt:
-                        raise
+                        result = _run_problem_task(
+                            problem, effective, cache, store,
+                            loaded_namespaces, checkpoints,
+                            self.checkpoint_every, resume or attempt > 0,
+                            progress)
                     except Exception as error:
-                        if self.failure_policy == "raise":
-                            raise
+                        delay = self._attempt_failed(
+                            failures, problem, attempt, "exception",
+                            type(error).__name__, str(error),
+                            traceback_module.format_exc())
+                        if delay is None:
+                            self._fire("on_problem_error", problem,
+                                       failures[problem.name])
+                            break
+                        time.sleep(delay)
                         attempt += 1
-                        failure = ProblemFailure(
-                            problem=problem, phase="exception",
-                            error_type=type(error).__name__,
-                            message=str(error), attempts=attempt,
-                            traceback=traceback_module.format_exc())
-                        if attempt <= self.retries:
-                            delay = self._backoff_delay(attempt - 1)
-                            self._fire("on_problem_retry", problem, failure,
-                                       delay)
-                            time.sleep(delay)
-                            continue
-                        failures[problem.name] = failure
-                        self._fire("on_problem_error", problem, failure)
-                        break
+                        continue
                     results[problem.name] = result
                     self._fire("on_problem_end", problem, result, index,
                                total)
                     break
-                if store is not None and self.checkpoint_column_cache \
-                        and index + 1 < total:
-                    n_entries = store.save(cache)
-                    self._fire("on_checkpoint", problem, str(store.path),
-                               n_entries)
         except KeyboardInterrupt:
             # The engine already saved the interrupted problem's last
             # completed generation boundary (when checkpointing is on);
             # report what finished instead of discarding it.
-            if self.failure_policy == "raise":
-                raise
             interrupted = True
-            if current is not None and current.name not in results:
-                failures[current.name] = ProblemFailure(
-                    problem=current, phase="interrupted",
-                    error_type="KeyboardInterrupt",
-                    message=("interrupted by user"
-                             + ("; checkpoint saved"
-                                if checkpoints is not None else "")),
-                    attempts=1)
+            self._record_interrupted(attempts, results, failures)
         if store is not None:
             store.save(cache)
         return results, failures, interrupted
@@ -574,9 +538,9 @@ class Session:
         the whole pool and fails every outstanding future -- each problem
         gets its own :class:`multiprocessing.Process` and result pipe, so
         a crash, stall or timeout is contained to its problem: the worker
-        is reaped (or killed, for timeouts), the problem retried with
-        backoff, degraded to in-process execution, or recorded as a
-        structured failure, while every other worker keeps running.
+        is reaped (or killed, for timeouts) and the problem retried with
+        backoff in a fresh worker or recorded as a structured failure,
+        while every other worker keeps running.
 
         Determinism: runs are independent (each worker owns its engine and
         RNG), so scheduling cannot change any result; ``on_problem_start``
@@ -592,19 +556,18 @@ class Session:
         max_workers = min(self.jobs, total)
         outcomes: Dict[str, CaffeineResult] = {}
         failures: Dict[str, ProblemFailure] = {}
-        serial_queue: List[_Attempt] = []
         pending: List[_Attempt] = [
             _Attempt(index=index, problem=problem)
             for index, problem in enumerate(self.problems)]
         running: Dict[object, _Running] = {}  # recv-pipe -> worker
-        started: set = set()
+        attempts: Dict[str, int] = {}
         interrupted = False
 
         def launch(item: _Attempt) -> None:
-            if item.index not in started:
-                started.add(item.index)
+            if item.problem.name not in attempts:
                 self._fire("on_problem_start", item.problem, item.index,
                            total)
+            attempts[item.problem.name] = item.attempt + 1
             recv_conn, send_conn = ctx.Pipe(duplex=False)
             process = ctx.Process(
                 target=_worker_main,
@@ -626,30 +589,14 @@ class Session:
 
         def attempt_failed(worker: _Running, phase: str, error_type: str,
                            message: str, trace: str = "") -> None:
-            attempts = worker.attempt + 1
-            failure = ProblemFailure(
-                problem=worker.problem, phase=phase, error_type=error_type,
-                message=message, attempts=attempts, traceback=trace)
-            if self.failure_policy == "raise":
-                raise RuntimeError(
-                    f"problem {worker.problem.name!r} failed "
-                    f"({phase}: {error_type}: {message})"
-                    + (f"\n{trace}" if trace else ""))
-            if worker.attempt < self.retries:
-                delay = self._backoff_delay(worker.attempt)
-                self._fire("on_problem_retry", worker.problem, failure,
-                           delay)
+            delay = self._attempt_failed(failures, worker.problem,
+                                         worker.attempt, phase, error_type,
+                                         message, trace)
+            if delay is not None:
                 pending.append(_Attempt(
                     index=worker.index, problem=worker.problem,
                     attempt=worker.attempt + 1,
                     ready_at=time.monotonic() + delay))
-            elif self.fallback_serial:
-                self._fire("on_problem_retry", worker.problem, failure, 0.0)
-                serial_queue.append(_Attempt(
-                    index=worker.index, problem=worker.problem,
-                    attempt=attempts))
-            else:
-                failures[worker.problem.name] = failure
 
         def reap(conn, worker: _Running) -> None:
             """Collect one finished/broken worker's outcome."""
@@ -712,21 +659,12 @@ class Session:
                             conn.close()
                             attempt_failed(
                                 worker, "timeout", "TimeoutError",
-                                f"problem exceeded the per-problem timeout "
-                                f"of {self.timeout} s and was killed")
+                                f"attempt exceeded the timeout of "
+                                f"{self.timeout} s and was killed")
         except KeyboardInterrupt:
-            if self.failure_policy == "raise":
-                raise
+            # In-flight problems and problems waiting for a retry alike.
             interrupted = True
-            for worker in running.values():
-                failures.setdefault(worker.problem.name, ProblemFailure(
-                    problem=worker.problem, phase="interrupted",
-                    error_type="KeyboardInterrupt",
-                    message=("interrupted by user"
-                             + ("; last checkpoint kept"
-                                if self.checkpoint_path is not None
-                                else "")),
-                    attempts=worker.attempt + 1))
+            self._record_interrupted(attempts, outcomes, failures)
         finally:
             for conn, worker in running.items():
                 worker.process.kill()
@@ -736,37 +674,6 @@ class Session:
                 except OSError:  # pragma: no cover - already closed
                     pass
             running.clear()
-
-        # Graceful degradation: problems that kept dying in workers get one
-        # in-process attempt (resuming their checkpoints, if any) -- slower,
-        # but immune to pool-level pathologies.
-        if not interrupted:
-            for item in serial_queue:
-                try:
-                    result = _run_problem_task(
-                        item.problem,
-                        item.problem.effective_settings(self.settings),
-                        self.column_cache_path,
-                        checkpoint_path=self.checkpoint_path,
-                        checkpoint_every=self.checkpoint_every,
-                        resume=True)
-                except KeyboardInterrupt:
-                    interrupted = True
-                    failures[item.problem.name] = ProblemFailure(
-                        problem=item.problem, phase="interrupted",
-                        error_type="KeyboardInterrupt",
-                        message="interrupted during serial fallback",
-                        attempts=item.attempt + 1, fell_back_serial=True)
-                    break
-                except Exception as error:
-                    failures[item.problem.name] = ProblemFailure(
-                        problem=item.problem, phase="exception",
-                        error_type=type(error).__name__,
-                        message=str(error), attempts=item.attempt + 1,
-                        traceback=traceback_module.format_exc(),
-                        fell_back_serial=True)
-                else:
-                    outcomes[item.problem.name] = result
 
         # Emit completion callbacks and the result mapping in problem
         # order, whatever order the workers actually finished in.
@@ -802,29 +709,35 @@ class Session:
             getattr(callback, hook)(*args)
 
 
+def _backoff_delay(failed_attempt: int) -> float:
+    """Exponential backoff with up to 25% jitter (wall-clock only)."""
+    base = RETRY_BACKOFF_S * (2.0 ** failed_attempt)
+    # repro-lint: allow[determinism] -- retry-backoff jitter shapes wall-clock waits only, never results
+    return base * (1.0 + 0.25 * random.random())
+
+
 def _run_problem_task(problem: Problem, settings: CaffeineSettings,
-                      column_cache_path: Optional[str],
-                      checkpoint_path: Optional[str] = None,
-                      checkpoint_every: int = 1,
-                      resume: bool = False) -> CaffeineResult:
-    """One worker's whole job: warm-load, run, merge-save (picklable)."""
-    cache = BasisColumnCache(cache_budgets(settings).columns)
-    store = (ColumnCacheStore(column_cache_path)
-             if column_cache_path is not None else None)
+                      cache: BasisColumnCache,
+                      store: Optional[ColumnCacheStore],
+                      loaded_namespaces: Set[str],
+                      checkpoints: Optional[RunCheckpointStore],
+                      checkpoint_every: int, resume: bool,
+                      progress=None) -> CaffeineResult:
+    """One attempt at one problem: build its engine on ``cache``,
+    warm-load it from ``store``, run it (serial runner and workers)."""
     engine = CaffeineEngine(problem.train, test=problem.test,
                             settings=settings, column_cache=cache)
-    if store is not None:
-        # Namespace-filtered, like the serial path: only this problem's
-        # columns occupy LRU room (save() below still merges, never erases).
-        store.load_into(cache, dataset_key=engine.evaluator.dataset_key)
-    checkpoints = (RunCheckpointStore(checkpoint_path)
-                   if checkpoint_path is not None else None)
-    result = engine.run(checkpoint=checkpoints,
-                        checkpoint_every=checkpoint_every,
-                        checkpoint_slot=problem.name, resume=resume)
-    if store is not None:
-        store.save(cache)
-    return result
+    dataset_key = engine.evaluator.dataset_key
+    if store is not None and dataset_key not in loaded_namespaces:
+        # Admit only this problem's namespace into the LRU (a shared store
+        # file only grows; foreign namespaces would occupy -- and at
+        # capacity evict -- the warm columns this run actually uses), once
+        # per ``loaded_namespaces``.
+        loaded_namespaces.add(dataset_key)
+        store.load_into(cache, dataset_key=dataset_key)
+    return engine.run(progress=progress, checkpoint=checkpoints,
+                      checkpoint_every=checkpoint_every,
+                      checkpoint_slot=problem.name, resume=resume)
 
 
 def _worker_main(conn, problem: Problem, settings: CaffeineSettings,
@@ -849,10 +762,15 @@ def _worker_main(conn, problem: Problem, settings: CaffeineSettings,
                           attempt=attempt)
         faults.stall_point("problem.stall", problem=problem.name,
                            attempt=attempt)
-        result = _run_problem_task(problem, settings, column_cache_path,
-                                   checkpoint_path=checkpoint_path,
-                                   checkpoint_every=checkpoint_every,
-                                   resume=resume)
+        cache = BasisColumnCache(cache_budgets(settings).columns)
+        store = (ColumnCacheStore(column_cache_path)
+                 if column_cache_path is not None else None)
+        checkpoints = (RunCheckpointStore(checkpoint_path)
+                       if checkpoint_path is not None else None)
+        result = _run_problem_task(problem, settings, cache, store, set(),
+                                   checkpoints, checkpoint_every, resume)
+        if store is not None:
+            store.save(cache)  # merges, never erases other namespaces
         conn.send(("result", result))
     except BaseException as error:
         try:

@@ -153,9 +153,7 @@ def session_for_targets(datasets: OtaDatasets,
                         jobs: int = 1,
                         callbacks: Sequence[SessionCallback] = (),
                         checkpoint_path: Optional[str] = None,
-                        checkpoint_every: int = 1,
-                        timeout: Optional[float] = None,
-                        retries: int = 1) -> Session:
+                        checkpoint_every: int = 1) -> Session:
     """A ready-to-run :class:`Session` over the selected OTA performances.
 
     All experiment drivers build their sweeps through here: the six
@@ -168,15 +166,12 @@ def session_for_targets(datasets: OtaDatasets,
     generation boundaries (and its final result) to a
     :class:`~repro.core.cache_store.RunCheckpointStore` there, so
     ``session.run(resume=True)`` after a crash or Ctrl-C skips finished
-    performances and continues in-flight ones bit-identically.  ``timeout``
-    and ``retries`` bound per-performance wall-clock and retry crashed
-    workers when ``jobs > 1``.
+    performances and continues in-flight ones bit-identically.
     """
     return Session(problems_for_targets(datasets, targets),
                    settings=settings, jobs=jobs,
                    column_cache_path=column_cache_path,
                    callbacks=callbacks,
                    checkpoint_path=checkpoint_path,
-                   checkpoint_every=checkpoint_every,
-                   timeout=timeout, retries=retries)
+                   checkpoint_every=checkpoint_every)
 

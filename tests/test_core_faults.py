@@ -9,11 +9,15 @@ structured :class:`~repro.core.session.ProblemFailure`.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro import InjectedFault, ProblemFailure
 from repro.core import faults
+from repro.core import session as session_module
+from repro.core.engine import CaffeineEngine
 from repro.core.cache_store import ColumnCacheStore
 from repro.core.problem import Problem
 from repro.core.session import Session, SessionCallback
@@ -29,6 +33,11 @@ def _clean_faults():
     faults.clear()
     yield
     faults.clear()
+
+
+@pytest.fixture(autouse=True)
+def _fast_backoff(monkeypatch):
+    monkeypatch.setattr(session_module, "RETRY_BACKOFF_S", 0.01)
 
 
 def _problems(names=("t1", "t2")):
@@ -142,9 +151,9 @@ class TestSerialFaultTolerance:
     def test_fit_exception_propagates_under_raise_policy(self):
         problem = _problems(("t1",))[0]
         settings = SETTINGS.copy(fault_injection="fit.exception")
-        with pytest.raises(InjectedFault):
-            Session([problem], settings=settings,
-                    failure_policy="raise").run()
+        outcome = Session([problem], settings=settings, retries=0).run()
+        with pytest.raises(RuntimeError, match="InjectedFault"):
+            outcome.raise_failures()
 
     def test_serial_retry_recovers_and_matches_clean_run(self):
         problem = _problems(("t1",))[0]
@@ -153,7 +162,6 @@ class TestSerialFaultTolerance:
         recorder = _Recorder()
         settings = SETTINGS.copy(fault_injection="fit.exception:times=1")
         outcome = Session([problem], settings=settings, retries=1,
-                          retry_backoff=0.0,
                           callbacks=[recorder]).run()
         assert outcome.complete
         assert recorder.retries == [("t1", "exception", 1)]
@@ -185,12 +193,13 @@ class TestSerialFaultTolerance:
         with pytest.raises(RuntimeError, match="2 problem"):
             outcome.raise_failures()
 
-    def test_failure_policy_raise_propagates(self):
+    def test_raise_failures_after_retries_exhausted(self):
         problem = _problems(("t1",))[0]
-        settings = SETTINGS.copy(fault_injection="fit.exception")
-        with pytest.raises(InjectedFault):
-            Session([problem], settings=settings, retries=3,
-                    failure_policy="raise").run()
+        settings = SETTINGS.copy(fault_injection="fit.exception:times=inf")
+        outcome = Session([problem], settings=settings, retries=3).run()
+        assert outcome.failures["t1"].attempts == 4
+        with pytest.raises(RuntimeError, match="InjectedFault"):
+            outcome.raise_failures()
 
 
 class TestParallelFaultTolerance:
@@ -201,7 +210,7 @@ class TestParallelFaultTolerance:
             fault_injection="worker.kill:problem=t1:attempt=0")
         recorder = _Recorder()
         outcome = Session(problems, settings=settings, jobs=2, retries=1,
-                          retry_backoff=0.01, callbacks=[recorder]).run()
+                          callbacks=[recorder]).run()
         assert outcome.complete
         assert recorder.retries == [("t1", "worker-crash", 1)]
         for name in ("t1", "t2"):
@@ -211,26 +220,73 @@ class TestParallelFaultTolerance:
         problems = _problems(("t1", "t2"))
         settings = SETTINGS.copy(
             fault_injection="worker.exception:problem=t2")
-        outcome = Session(problems, settings=settings, jobs=2, retries=0,
-                          fallback_serial=False).run()
+        outcome = Session(problems, settings=settings, jobs=2,
+                          retries=0).run()
         assert set(outcome.results) == {"t1"}
         failure = outcome.failures["t2"]
         assert failure.phase == "exception"
         assert failure.error_type == "InjectedFault"
         assert "worker.exception" in failure.traceback
 
-    def test_serial_fallback_rescues_flaky_worker(self):
-        # The kill fires on every worker attempt (times=inf, any attempt),
-        # so only the in-process fallback -- which never passes through
-        # _worker_main's kill point -- can finish the problem.
+    def test_always_killed_worker_is_a_crash_failure(self):
+        # The kill fires on every worker attempt (times=inf, any attempt);
+        # the problem is never re-run on the orchestrating process.
         problems = _problems(("t1", "t2"))
         clean = Session(problems, settings=SETTINGS).run()
         settings = SETTINGS.copy(
             fault_injection="worker.kill:problem=t1:times=inf")
+        recorder = _Recorder()
+        retries = 1
+        outcome = Session(problems, settings=settings, jobs=2,
+                          retries=retries, callbacks=[recorder]).run()
+        assert set(outcome.results) == {"t2"}
+        failure = outcome.failures["t1"]
+        assert failure.phase == "worker-crash"
+        assert failure.error_type == "WorkerCrash"
+        assert failure.attempts == retries + 1
+        assert "killed by signal" in failure.message
+        assert recorder.retries == [("t1", "worker-crash", 1)]
+        assert recorder.errors == [("t1", "worker-crash")]
+        assert _front(outcome["t2"]) == _front(clean["t2"])
+
+    def test_timeout_bounds_every_attempt(self):
+        """A slow problem is killed at its timeout and fails; it is never
+        finished on the orchestrating process."""
+        fast, slow = _problems(("t1", "t2"))
+        slow = slow.with_settings(
+            SETTINGS.copy(population_size=300, n_generations=40))
+        outcome = Session([fast, slow], settings=SETTINGS, jobs=2,
+                          timeout=0.5, retries=0).run()
+        assert set(outcome.results) == {"t1"}
+        failure = outcome.failures["t2"]
+        assert failure.phase == "timeout"
+        assert failure.attempts == 1
+        start = time.perf_counter()
+        CaffeineEngine(slow.train, settings=slow.settings).run()
+        slow_in_process_s = time.perf_counter() - start
+        assert outcome.runtime_seconds < 0.6 * slow_in_process_s
+
+    def test_interrupt_before_retry_records_interrupted(self):
+        """Ctrl-C between a failed attempt and its retry: the problem
+        started, so it is reported, not dropped."""
+
+        class InterruptOnRetry(SessionCallback):
+            def on_problem_retry(self, problem, failure, delay):
+                raise KeyboardInterrupt
+
+        problems = _problems(("t1", "t2"))
+        settings = SETTINGS.copy(
+            fault_injection="worker.kill:problem=t1:attempt=0")
         outcome = Session(problems, settings=settings, jobs=2, retries=1,
-                          retry_backoff=0.01, fallback_serial=True).run()
-        assert outcome.complete
-        assert _front(outcome["t1"]) == _front(clean["t1"])
+                          callbacks=[InterruptOnRetry()]).run()
+        assert outcome.interrupted
+        assert not outcome.complete
+        failure = outcome.failures["t1"]
+        assert failure.phase == "interrupted"
+        assert failure.error_type == "KeyboardInterrupt"
+        assert failure.attempts == 1
+        # t2 finished or was interrupted in flight -- never dropped.
+        assert set(outcome.results) | set(outcome.failures) == {"t1", "t2"}
 
     def test_sweep_survives_kill_timeout_and_corrupt_cache(self, tmp_path):
         """The acceptance sweep: one killed worker, one problem stalled
@@ -250,8 +306,7 @@ class TestParallelFaultTolerance:
         recorder = _Recorder()
         outcome = Session(problems, settings=settings, jobs=3,
                           column_cache_path=str(cache_path),
-                          timeout=1.0, retries=1, retry_backoff=0.01,
-                          fallback_serial=False,
+                          timeout=1.0, retries=1,
                           callbacks=[recorder]).run()
 
         # Every problem is accounted for: results for t1 (after its killed

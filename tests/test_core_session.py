@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import os
 
 import numpy as np
@@ -178,8 +179,17 @@ class TestSerialEquality:
             Session([_dataset(1)])
         with pytest.raises(ValueError, match="no problems"):
             Session([], settings=SETTINGS).run()
-        with pytest.raises(ValueError, match="checkpoint_column_cache"):
-            Session(problems, checkpoint_column_cache=True)
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            Session(problems, checkpoint_every=0)
+        with pytest.raises(ValueError, match="timeout"):
+            Session(problems, timeout=0)
+        with pytest.raises(ValueError, match="retries"):
+            Session(problems, retries=-1)
+
+    def test_constructor_parameters(self):
+        assert list(inspect.signature(Session).parameters) == [
+            "problems", "settings", "jobs", "column_cache_path", "callbacks",
+            "checkpoint_path", "checkpoint_every", "timeout", "retries"]
 
 
 class TestParallel:
@@ -244,22 +254,6 @@ class TestCallbacksAndCheckpoints:
         silent = Session(_two_problems(), settings=SETTINGS).run()
         for name in outcome.names:
             assert _front(silent[name]) == _front(outcome[name])
-
-    def test_checkpoint_saves_after_each_problem(self, tmp_path):
-        path = str(tmp_path / "cols.cache")
-        checkpoints = []
-
-        class Recorder(SessionCallback):
-            def on_checkpoint(self, problem, store_path, n_entries):
-                checkpoints.append((problem.name, n_entries))
-
-        Session(_two_problems(), settings=SETTINGS,
-                column_cache_path=path, checkpoint_column_cache=True,
-                callbacks=[Recorder()]).run()
-        # One mid-run checkpoint (after t1; the final save is not one).
-        assert [name for name, _n in checkpoints] == ["t1"]
-        assert checkpoints[0][1] > 0
-        assert os.path.exists(path)
 
     def test_persistent_path_warm_start_identical(self, tmp_path):
         path = str(tmp_path / "cols.cache")
